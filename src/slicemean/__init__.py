@@ -8,7 +8,6 @@ from .affine_model import (
     AffineProblem,
     ValidatedProblem,
     closest_point,
-    min_valid_n,
     validate,
 )
 from .errors import (
@@ -47,7 +46,7 @@ from .projections import (
     preimage_norm_sq,
     push_coordinates,
 )
-from .slice_geometry import SliceGeometry, build_slice, log_norm_prefactor, weight
+from .slice_geometry import SliceGeometry, build_slice, weight
 from .testfns import (
     BoundedCutoff,
     CosLinear,
@@ -56,7 +55,6 @@ from .testfns import (
     Monomial,
     SinLinear,
     TestFunction,
-    evaluate,
     known_limit,
 )
 
@@ -94,15 +92,12 @@ __all__ = [
     "build_slice",
     "closest_point",
     "counterexample_probe",
-    "evaluate",
     "gaussian_limit",
     "kernel_onb",
     "kernel_projection_norm_sq",
     "known_limit",
     "least_norm_solution",
-    "log_norm_prefactor",
     "log_surface_constant",
-    "min_valid_n",
     "preimage_norm_sq",
     "push_coordinates",
     "slice_mean_mc",

@@ -208,8 +208,3 @@ def closest_point(validated: ValidatedProblem, n) -> np.ndarray:
     if n >= problem.width:
         return validated.z0.copy()
     return least_norm_center(problem, n)
-
-
-def min_valid_n(validated: ValidatedProblem) -> int:
-    """Smallest truncation dimension at which every per-N requirement holds."""
-    return validated.n_min

@@ -158,32 +158,10 @@ def cmd_sweep(args) -> int:
         return 2
     csv_path = _out_path(args, cfg, "csv_path", args.csv)
     svg_path = _out_path(args, cfg, "svg_path", args.svg)
-    if csv_path:
-        for path in harness.emit_outputs(rows, csv_path, svg_path):
-            print(f"wrote {path}")
-    else:
-        print(harness.CSV_HEADER)
-        for row in rows:
-            print(
-                ",".join(
-                    [str(row.n)]
-                    + [
-                        harness.format_float(v)
-                        for v in (
-                            row.quad_value,
-                            row.quad_err,
-                            row.mc_value,
-                            row.mc_stderr,
-                            row.limit_value,
-                            row.abs_error,
-                            row.wall_ms,
-                        )
-                    ]
-                )
-            )
-        if svg_path:
-            harness.emit_svg(rows, svg_path)
-            print(f"wrote {svg_path}")
+    if not csv_path:
+        print(harness.sweep_csv(rows), end="")
+    for path in harness.emit_outputs(rows, csv_path, svg_path):
+        print(f"wrote {path}")
     rate = harness.observed_rate(rows)
     if rate is not None:
         print(f"observed abs_error ~ N^{rate:.2f} (reported, not asserted)")
@@ -196,7 +174,7 @@ def cmd_verify(args) -> int:
     print(report.to_json())
     csv_path = _out_path(args, cfg, "csv_path", args.csv)
     if csv_path:
-        harness.emit_checks_csv(report, csv_path)
+        harness.write_text(csv_path, report.to_csv())
         print(f"wrote {csv_path}")
     return 0 if report.all_passed else 1
 
@@ -204,29 +182,13 @@ def cmd_verify(args) -> int:
 def cmd_counterexample(args) -> int:
     cfg = _load(args)
     rows, summary = harness.run_counterexample(cfg)
-    print("z,R,value")
-    for row in rows:
-        print(
-            ",".join(
-                [
-                    harness.format_float(row["z"]),
-                    harness.format_float(row["R"]),
-                    harness.format_float(row["value"]),
-                ]
-            )
-        )
+    table = harness.counterexample_csv(rows)
+    print(table, end="")
     for line in summary:
         print(line)
     csv_path = _out_path(args, cfg, "csv_path", args.csv)
     if csv_path:
-        lines = ["z,R,value"] + [
-            ",".join(
-                harness.format_float(row[key]) for key in ("z", "R", "value")
-            )
-            for row in rows
-        ]
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        harness.write_text(csv_path, table)
         print(f"wrote {csv_path}")
     return 0
 

@@ -44,7 +44,7 @@ from .integrators import (
 )
 from .numlin import as_matrix, kernel_onb
 from .projections import build_projection, kernel_projection_norm_sq, preimage_norm_sq
-from .slice_geometry import build_slice, log_norm_prefactor, weight
+from .slice_geometry import build_slice, weight
 from .testfns import CosLinear, TestFunction, known_limit
 
 DEFAULT_SCHEDULE = [32, 64, 128, 256, 512, 1024, 2048, 4096]
@@ -97,6 +97,12 @@ class VerifyReport:
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_csv(self) -> str:
+        return csv_text(
+            "name,passed,worst_violation,trials",
+            ((c.name, c.passed, c.worst_violation, c.trials) for c in self.checks),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +322,12 @@ def _fixture(spec: dict) -> ValidatedProblem:
     )
 
 
-def _random_validated(rng, s: int = 50) -> ValidatedProblem:
+def random_validated(rng, s: int = 50) -> ValidatedProblem:
+    """Random validated problem of support width s; degenerate draws are redrawn.
+
+    m and k are drawn from 1..3, Q has standard normal entries and w0 half
+    that scale. The verify checks and the test suite share this generator.
+    """
     while True:
         m = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
@@ -373,7 +384,7 @@ def _check_constant_limit(ctx: _Ctx) -> CheckResult:
                 q[i, k + i] = 1.0
             validated = validate(AffineProblem(q=q, w0=0.5 * np.ones(m), k=k))
             geom = build_slice(validated, n, with_projection=False)
-            got = math.exp(log_norm_prefactor(geom))
+            got = math.exp(geom.log_prefactor)
             want = (2.0 * math.pi) ** (-k / 2.0)
             worst = max(worst, abs(got - want) / want - 1e-3 * ctx.tol_scale)
             trials += 1
@@ -386,9 +397,9 @@ def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
     trials = 0
     max_err_below = {}
     for _ in range(20):
-        validated = _random_validated(rng)
+        validated = random_validated(rng)
         det_inf = math.exp(build_projection(validated, INF).log_det_l0)
-        for n in (50, 55, 64, 80):
+        for n in (50, 55, 60, 64, 75, 80, 100):
             det_n = math.exp(build_projection(validated, n).log_det_l0)
             worst = max(worst, abs(det_n - det_inf) - 1e-12 * ctx.tol_scale)
             trials += 1
@@ -406,7 +417,7 @@ def _check_preimage_inequality(ctx: _Ctx) -> CheckResult:
     worst = -math.inf
     trials = 0
     while trials < 100:
-        validated = _random_validated(rng)
+        validated = random_validated(rng)
         pd_inf = build_projection(validated, INF)
         n = int(rng.integers(validated.n_min, 50))
         pd_n = build_projection(validated, n)
@@ -438,13 +449,13 @@ def _check_char_fn_identity(ctx: _Ctx) -> CheckResult:
     worst = -math.inf
     trials = 0
     for _ in range(20):
-        validated = _random_validated(rng)
+        validated = random_validated(rng)
         g = build_projection(validated, INF).g
         for _ in range(5):
             t = rng.standard_normal(validated.k)
             quad_form = float(t @ g @ t)
             proj_norm = kernel_projection_norm_sq(validated, t)
-            slack = 1e-10 * max(1.0, abs(quad_form)) * ctx.tol_scale
+            slack = min(1e-10, 1e-12 + 1e-10 * abs(quad_form)) * ctx.tol_scale
             worst = max(worst, abs(quad_form - proj_norm) - slack)
             trials += 1
     return CheckResult("characteristic_function_identity", worst <= 0, worst, trials)
@@ -492,7 +503,7 @@ def _check_basis_invariance(ctx: _Ctx) -> CheckResult:
     worst = -math.inf
     trials = 0
     for _ in range(10):
-        validated = _random_validated(rng)
+        validated = random_validated(rng)
         problem = validated.problem
         basis = kernel_onb(truncated_matrix(problem, problem.width))
         o = _haar_orthogonal(rng, basis.shape[1])
@@ -537,7 +548,7 @@ def _check_z0n_convergence(ctx: _Ctx) -> CheckResult:
     worst = -math.inf
     trials = 0
     for _ in range(10):
-        validated = _random_validated(rng)
+        validated = random_validated(rng)
         problem = validated.problem
         z0 = validated.z0
         errs = []
@@ -558,7 +569,7 @@ def _check_z0_orthogonality(ctx: _Ctx) -> CheckResult:
     worst = -math.inf
     trials = 0
     fixtures = [_fixture(s) for s in (FIX_A3, FIX_B, FIX_C)]
-    fixtures += [_random_validated(rng) for _ in range(5)]
+    fixtures += [random_validated(rng) for _ in range(5)]
     for validated in fixtures:
         problem = validated.problem
         basis = kernel_onb(truncated_matrix(problem, problem.width))
@@ -579,7 +590,7 @@ def _check_exact_moments(ctx: _Ctx) -> CheckResult:
         got = slice_mean_quadrature(build_slice(fix_a3, n), x2).value
         worst = max(worst, abs(got - (n - 9.0) / (n - 1.0)) - 1e-8 * ctx.tol_scale)
         trials += 1
-    for n in (4, 16, 64, 256, 1024, 4096):
+    for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         geom = build_slice(fix_b, n)
         worst = max(
             worst, abs(slice_mean_quadrature(geom, x1).value - 0.6) - 1e-10 * ctx.tol_scale
@@ -767,57 +778,53 @@ def run_counterexample(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal that round-trips to the same IEEE double."""
-    return repr(float(x))
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return repr(float(value))
 
 
-def emit_csv(rows, path: str):
-    """Write sweep rows as CSV with the fixed column order."""
+def csv_text(header: str, records) -> str:
+    """Every CSV the package emits, as text: the header line, then one line
+    per record (a sequence of values in column order), each line ending in a
+    newline. Integers and booleans are written as integers, strings as they
+    are, and every other value as the shortest decimal that round-trips to
+    the same IEEE double.
+    """
+    lines = [header] + [",".join(_csv_cell(v) for v in record) for record in records]
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv(rows) -> str:
+    """The sweep CSV: ``CSV_HEADER``, then one line per row."""
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    format_float(row.quad_value),
-                    format_float(row.quad_err),
-                    format_float(row.mc_value),
-                    format_float(row.mc_stderr),
-                    format_float(row.limit_value),
-                    format_float(row.abs_error),
-                    format_float(row.wall_ms),
-                ]
-            )
-        )
+    return csv_text(CSV_HEADER, map(dataclasses.astuple, rows))
+
+
+def counterexample_csv(rows) -> str:
+    """The counterexample table: ``z,R,value``, then one line per grid point."""
+    return csv_text("z,R,value", ((row["z"], row["R"], row["value"]) for row in rows))
+
+
+def write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
-def emit_outputs(rows, csv_path: str, svg_path: str | None = None):
-    """Write the sweep CSV and, when a path is given, the SVG error chart.
+def emit_outputs(rows, csv_path: str | None, svg_path: str | None = None):
+    """Write the sweep CSV and the SVG error chart, each when its path is given.
 
-    Returns the list of paths written. Raises ValueError on empty rows; IO
-    errors propagate to the caller (the CLI maps them to exit code 2).
+    Returns the list of paths written. Raises ValueError on empty rows when a
+    path is given; IO errors propagate to the caller (the CLI maps them to exit code 2).
     """
-    emit_csv(rows, csv_path)
-    written = [csv_path]
+    if csv_path:
+        write_text(csv_path, sweep_csv(rows))
     if svg_path:
         emit_svg(rows, svg_path)
-        written.append(svg_path)
-    return written
-
-
-def emit_checks_csv(report: VerifyReport, path: str):
-    lines = ["name,passed,worst_violation,trials"]
-    for c in report.checks:
-        lines.append(
-            ",".join([c.name, str(int(c.passed)), format_float(c.worst_violation), str(c.trials)])
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return [path for path in (csv_path, svg_path) if path]
 
 
 def emit_svg(rows, path: str):
@@ -877,5 +884,4 @@ def emit_svg(rows, path: str):
             f'<text x="{width - right - 100:.1f}" y="{y + 4:.1f}" font-size="12">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -114,7 +114,9 @@ def slice_mean_quadrature(
     sqrt(N); the Beta-matched radial rule places its nodes accordingly, so
     node counts need not grow with N. The error estimate is the difference
     against a rule with half the nodes; if it misses target_rel_err the node
-    counts are doubled (at most twice).
+    counts are doubled (at most twice). Halving the doubled counts gives the
+    previous rule back, so each refinement's coarse pass is the previous
+    fine pass and is not evaluated again.
     """
     if geom.k > 3:
         raise UnsupportedDimension(
@@ -124,14 +126,14 @@ def slice_mean_quadrature(
         raise ValueError("geometry was built without projection data")
     n_rad = int(cfg.radial_nodes)
     angular = cfg.angular_nodes
-    total_evals = 0
+    coarse, total_evals = _quad_pass(geom, phi, max(4, n_rad // 2), _halve_angular(angular))
     for _ in range(3):
-        value, n1 = _quad_pass(geom, phi, n_rad, angular)
-        coarse, n2 = _quad_pass(geom, phi, max(4, n_rad // 2), _halve_angular(angular))
-        total_evals += n1 + n2
+        value, n_evals = _quad_pass(geom, phi, n_rad, angular)
+        total_evals += n_evals
         err = abs(value - coarse)
         if err <= cfg.target_rel_err * max(1.0, abs(value)):
             break
+        coarse = value
         n_rad *= 2
         if not isinstance(angular, (tuple, list)):
             angular = int(angular) * 2

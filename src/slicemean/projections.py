@@ -12,7 +12,6 @@ Cholesky factor, and its log-determinant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +125,3 @@ def kernel_projection_norm_sq(
     t_hat[: t.size] = t
     coeff = basis.T @ t_hat
     return float(coeff @ coeff)
-
-
-def det_l0(pd: ProjectionData) -> float:
-    """Absolute determinant |det L0| = sqrt(det G) = exp(log_det_l0)."""
-    return math.exp(pd.log_det_l0)

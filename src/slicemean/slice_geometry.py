@@ -126,8 +126,3 @@ def weight(geom: SliceGeometry, r) -> float | np.ndarray:
             0.0,
         )
     return float(out) if out.ndim == 0 else out
-
-
-def log_norm_prefactor(geom: SliceGeometry) -> float:
-    """Log of the slice-mean normalization constant at this N."""
-    return geom.log_prefactor

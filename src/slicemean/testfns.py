@@ -175,11 +175,6 @@ class CounterexampleG(TestFunction):
         return np.exp(0.5 * x1 * x1 - np.log1p(x1 * x1))
 
 
-def evaluate(fn: TestFunction, x):
-    """Pointwise value of fn at x (shape (..., k))."""
-    return fn.eval(x)
-
-
 def known_limit(fn: TestFunction, validated: ValidatedProblem):
     """Closed-form limiting mean where one exists, else None.
 

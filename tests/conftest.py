@@ -28,18 +28,3 @@ def fix_c():
     return validate(
         AffineProblem(q=np.array([[1.0, 1.0, 1.0, 1.0]]), w0=np.array([2.0]), k=2)
     )
-
-
-def random_validated(rng, s=50):
-    """Random validated problem with support width s (retry on degenerate draws)."""
-    from slicemean.errors import SliceMeanError
-
-    while True:
-        m = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        q = rng.standard_normal((m, s))
-        w0 = 0.5 * rng.standard_normal(m)
-        try:
-            return validate(AffineProblem(q=q, w0=w0, k=k))
-        except SliceMeanError:
-            continue

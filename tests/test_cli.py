@@ -232,3 +232,22 @@ class TestCounterexampleCommand:
     def test_runs_without_config(self):
         proc = run_cli("counterexample")
         assert proc.returncode == 0
+
+
+def test_csv_files_match_printed_tables(tmp_path):
+    # one formatter makes both: the sweep table printed without --csv is the
+    # --csv file, and counterexample prints the table it writes
+    cfg = write_config(tmp_path, counterexample={"z": [0.0, 0.3], "R": [1.0, 10.0], "nodes": 32})
+    rows_csv = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", cfg, "--csv", str(rows_csv)).returncode == 0
+    printed = run_cli("sweep", "--config", cfg)
+    assert printed.returncode == 0
+    table = rows_csv.read_text().splitlines(keepends=True)
+    assert printed.stdout.splitlines(keepends=True)[: len(table)] == table
+
+    probe_csv = tmp_path / "probe.csv"
+    probe = run_cli("counterexample", "--config", cfg, "--csv", str(probe_csv))
+    assert probe.returncode == 0
+    table = probe_csv.read_text().splitlines(keepends=True)
+    assert len(table) == 5
+    assert probe.stdout.splitlines(keepends=True)[: len(table)] == table

@@ -140,7 +140,7 @@ class TestEmission:
     def test_csv_round_trip(self, tmp_path):
         rows, _ = harness.run_sweep(config())
         path = tmp_path / "rows.csv"
-        harness.emit_csv(rows, str(path))
+        harness.emit_outputs(rows, str(path))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == harness.CSV_HEADER
         assert len(lines) == len(rows) + 1
@@ -153,7 +153,7 @@ class TestEmission:
 
     def test_csv_refuses_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            harness.emit_csv([], str(tmp_path / "never.csv"))
+            harness.emit_outputs([], str(tmp_path / "never.csv"))
 
     def test_svg_well_formed(self, tmp_path):
         rows, _ = harness.run_sweep(config())
@@ -210,11 +210,9 @@ class TestRunVerify:
         for entry in payload["checks"]:
             assert {"name", "passed", "worst_violation", "trials"} <= set(entry)
 
-    def test_checks_csv(self, tmp_path):
+    def test_checks_csv(self):
         report = harness.run_verify({"verify": {"checks": self.FAST}})
-        path = tmp_path / "checks.csv"
-        harness.emit_checks_csv(report, str(path))
-        lines = path.read_text().strip().split("\n")
+        lines = report.to_csv().strip().split("\n")
         assert lines[0] == "name,passed,worst_violation,trials"
         assert len(lines) == len(self.FAST) + 1
 

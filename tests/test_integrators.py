@@ -23,7 +23,7 @@ from slicemean import (
     slice_mean_mc,
     slice_mean_quadrature,
 )
-from slicemean.integrators import _gaussian_mc
+from slicemean.integrators import _gaussian_mc, _quad_pass
 
 
 class TestQuadrature:
@@ -71,6 +71,32 @@ class TestQuadrature:
         cfg = QuadConfig(radial_nodes=64, angular_nodes=(12, 16))
         x2_pair = slice_mean_quadrature(geom, Monomial(alpha=(2, 0, 0)), cfg)
         assert_allclose(x2_pair.value, x2.value, rtol=1e-10)
+
+    def test_refinement_reuses_fine_pass(self):
+        # halving a refinement's doubled node counts gives the previous fine
+        # rule, so a request refined twice evaluates one coarse pass and
+        # three fine passes, and its value and error are those of the last
+        # two rules
+        from slicemean import AffineProblem, validate
+
+        validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
+        geom = build_slice(validated, 64)
+        points = []
+
+        class Counted(CosLinear):
+            def eval(self, x):
+                points.append(int(np.prod(np.shape(x)[:-1])))
+                return super().eval(x)
+
+        fn = Counted(t=[0.8, -0.5, 0.3])
+        res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
+        # radial x direction nodes; a k = 3 budget b gives round(sqrt(b))^2 directions
+        assert points == [64 * 36, 128 * 64, 256 * 121, 512 * 256]
+        assert res.n_evals == sum(points)
+        fine, _ = _quad_pass(geom, fn, 512, 256)
+        coarse, _ = _quad_pass(geom, fn, 256, 128)
+        assert res.value == fine
+        assert res.err_estimate == abs(fine - coarse)
 
     def test_unsupported_dimension(self):
         from slicemean import AffineProblem, validate

@@ -12,7 +12,7 @@ from slicemean import (
     push_coordinates,
 )
 from slicemean.affine_model import INF
-from conftest import random_validated
+from slicemean.harness import random_validated
 
 
 class TestBuildProjection:
@@ -71,19 +71,6 @@ class TestPreimageNormSq:
         pd = build_projection(fix_c, INF)
         assert preimage_norm_sq(pd, [0.0, 0.0]) == 0.0
 
-    def test_shrinks_with_n(self):
-        # nested kernels: the truncated preimage can only be longer
-        rng = np.random.default_rng(11)
-        trials = 0
-        while trials < 100:
-            validated = random_validated(rng)
-            pd_inf = build_projection(validated, INF)
-            n = int(rng.integers(validated.n_min, 50))
-            pd_n = build_projection(validated, n)
-            x = rng.standard_normal(validated.k)
-            assert preimage_norm_sq(pd_n, x) >= preimage_norm_sq(pd_inf, x) - 1e-12
-            trials += 1
-
 
 class TestPushCoordinates:
     def test_zero_offset(self, fix_b):
@@ -117,45 +104,3 @@ class TestKernelProjection:
 
     def test_zero(self, fix_c):
         assert kernel_projection_norm_sq(fix_c, [0.0, 0.0]) == 0.0
-
-    def test_matches_gram_quadratic_form(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            validated = random_validated(rng)
-            g = build_projection(validated, INF).g
-            for _ in range(5):
-                t = rng.standard_normal(validated.k)
-                assert_allclose(
-                    kernel_projection_norm_sq(validated, t),
-                    float(t @ g @ t),
-                    rtol=1e-10,
-                    atol=1e-12,
-                )
-
-
-def test_gram_is_basis_invariant():
-    rng = np.random.default_rng(9)
-    from slicemean import kernel_onb
-    from slicemean.affine_model import truncated_matrix
-
-    for _ in range(10):
-        validated = random_validated(rng)
-        problem = validated.problem
-        basis = kernel_onb(truncated_matrix(problem, problem.width))
-        a = rng.standard_normal((basis.shape[1], basis.shape[1]))
-        q, r = np.linalg.qr(a)
-        alt = basis @ (q * np.sign(np.diag(r)))
-        k = problem.k
-        g1 = basis[:k] @ basis[:k].T
-        g2 = alt[:k] @ alt[:k].T
-        assert np.abs(g1 - g2).max() < 1e-12
-
-
-def test_determinant_stabilizes_at_support_width():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        validated = random_validated(rng)
-        d_inf = math.exp(build_projection(validated, INF).log_det_l0)
-        for n in (50, 60, 75):
-            d_n = math.exp(build_projection(validated, n).log_det_l0)
-            assert abs(d_n - d_inf) < 1e-12

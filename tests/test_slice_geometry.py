@@ -10,7 +10,6 @@ from slicemean import (
     QuadConfig,
     SliceEmpty,
     build_slice,
-    log_norm_prefactor,
     slice_mean_quadrature,
     weight,
 )
@@ -90,7 +89,7 @@ class TestLogNormPrefactor:
         # d = 3, k = m = 1: c1/(c2 a) = 2 pi/(4 pi a) = 1/(2 a)
         geom = build_slice(fix_a0, 4, with_projection=False)
         assert_allclose(
-            log_norm_prefactor(geom), math.log(1.0 / (2.0 * geom.a_z)), rtol=1e-12
+            geom.log_prefactor, math.log(1.0 / (2.0 * geom.a_z)), rtol=1e-12
         )
 
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
@@ -102,7 +101,7 @@ class TestLogNormPrefactor:
             q[i, k + i] = 1.0
         validated = validate(AffineProblem(q=q, w0=0.5 * np.ones(m), k=k))
         geom = build_slice(validated, 10**6, with_projection=False)
-        got = math.exp(log_norm_prefactor(geom))
+        got = math.exp(geom.log_prefactor)
         want = (2.0 * math.pi) ** (-k / 2.0)
         assert abs(got - want) / want < 1e-3
 
@@ -126,17 +125,3 @@ class TestNormalization:
         geom = build_slice(fix_b, n)
         res = slice_mean_quadrature(geom, Monomial(alpha=(0,)), QuadConfig())
         assert abs(res.value - 1.0) <= max(res.err_estimate, 1e-12)
-
-
-def test_dominating_bound():
-    # scalar inequality behind dominated convergence: for 0 < y <= N and
-    # N > k+m+2, (1 - y/N)^((N-k-m-2)/2) <= e^((k+m+2)/2) e^(-y/2)
-    rng = np.random.default_rng(2024)
-    for _ in range(10_000):
-        k = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(k + m + 3, 10_000))
-        y = float(rng.uniform(0.0, n))
-        lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
-        rhs = math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y)
-        assert lhs <= rhs + 1e-12

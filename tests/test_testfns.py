@@ -12,7 +12,6 @@ from slicemean import (
     McConfig,
     Monomial,
     SinLinear,
-    evaluate,
     gaussian_limit,
     kernel_projection_norm_sq,
     known_limit,
@@ -22,37 +21,37 @@ from slicemean.testfns import LP_ONE, from_config
 
 class TestEval:
     def test_cos_at_zero(self):
-        assert evaluate(CosLinear(t=[2.0]), np.array([0.0])) == 1.0
+        assert CosLinear(t=[2.0]).eval(np.array([0.0])) == 1.0
 
     def test_monomial(self):
-        assert evaluate(Monomial(alpha=(2,)), np.array([3.0])) == 9.0
+        assert Monomial(alpha=(2,)).eval(np.array([3.0])) == 9.0
 
     def test_counterexample_value(self):
         # direct evaluation: e^{1/2} / 2
-        got = evaluate(CounterexampleG(), np.array([1.0]))
+        got = CounterexampleG().eval(np.array([1.0]))
         assert_allclose(got, math.exp(0.5) / 2.0, rtol=1e-14)
 
     def test_counterexample_overflow_safe_region(self):
         # naive e^{x^2/2}/(1+x^2) overflows at |x| ~ 37.66; the quotient form
         # must still return the correct finite value just above that
         x = np.array([37.7])
-        got = evaluate(CounterexampleG(), x)
+        got = CounterexampleG().eval(x)
         expected = math.exp(0.5 * 37.7**2 - math.log1p(37.7**2))
         assert np.isfinite(got) and got == pytest.approx(expected)
 
     def test_vectorized_shapes(self):
         fn = CosLinear(t=[1.0, -1.0])
         x = np.zeros((5, 7, 2))
-        assert evaluate(fn, x).shape == (5, 7)
+        assert fn.eval(x).shape == (5, 7)
 
     def test_indicator(self):
         fn = IndicatorBall(center=[0.0, 0.0], radius=1.0)
-        vals = evaluate(fn, np.array([[0.5, 0.5], [1.0, 1.0]]))
+        vals = fn.eval(np.array([[0.5, 0.5], [1.0, 1.0]]))
         assert_allclose(vals, [1.0, 0.0])
 
     def test_cutoff_clamps(self):
         fn = BoundedCutoff(inner=Monomial(alpha=(2,)), cap=4.0)
-        assert_allclose(evaluate(fn, np.array([[1.0], [10.0]])), [1.0, 4.0])
+        assert_allclose(fn.eval(np.array([[1.0], [10.0]])), [1.0, 4.0])
 
 
 class TestMetadata:
@@ -67,7 +66,7 @@ class TestMetadata:
         for fn, bound, k in cases:
             assert fn.bounded
             x = 50.0 * rng.standard_normal((10_000, k))
-            assert np.abs(evaluate(fn, x)).max() <= bound + 1e-12
+            assert np.abs(fn.eval(x)).max() <= bound + 1e-12
 
     def test_counterexample_is_l1_only_and_refused(self):
         g = CounterexampleG()
