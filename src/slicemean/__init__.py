@@ -37,7 +37,6 @@ from .numlin import (
     kernel_onb,
     least_norm_solution,
     log_surface_constant,
-    spd_solve_and_logdet,
 )
 from .projections import (
     ProjectionData,
@@ -102,7 +101,6 @@ __all__ = [
     "push_coordinates",
     "slice_mean_mc",
     "slice_mean_quadrature",
-    "spd_solve_and_logdet",
     "validate",
     "weight",
 ]

@@ -383,7 +383,7 @@ def _check_constant_limit(ctx: _Ctx) -> CheckResult:
             for i in range(m):
                 q[i, k + i] = 1.0
             validated = validate(AffineProblem(q=q, w0=0.5 * np.ones(m), k=k))
-            geom = build_slice(validated, n, with_projection=False)
+            geom = build_slice(validated, n)
             got = math.exp(geom.log_prefactor)
             want = (2.0 * math.pi) ** (-k / 2.0)
             worst = max(worst, abs(got - want) / want - 1e-3 * ctx.tol_scale)
@@ -400,7 +400,11 @@ def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
         validated = random_validated(rng)
         det_inf = math.exp(build_projection(validated, INF).log_det_l0)
         for n in (50, 55, 60, 64, 75, 80, 100):
-            det_n = math.exp(build_projection(validated, n).log_det_l0)
+            # from the full N-column kernel basis: build_projection takes
+            # its basis at the support width (50 here), so it would return
+            # det_inf by construction and test nothing
+            m_top = kernel_onb(truncated_matrix(validated.problem, n))[: validated.k]
+            det_n = math.sqrt(np.linalg.det(m_top @ m_top.T))
             worst = max(worst, abs(det_n - det_inf) - 1e-12 * ctx.tol_scale)
             trials += 1
         for n in range(validated.n_min, 50, 5):
@@ -607,7 +611,7 @@ def _check_weight_shape(ctx: _Ctx) -> CheckResult:
     trials = 0
     for spec, n in ((FIX_A3, 64), (FIX_B, 256), (FIX_C, 32)):
         validated = _fixture(spec)
-        geom = build_slice(validated, n, with_projection=False)
+        geom = build_slice(validated, n)
         r = np.linspace(0.0, geom.a_z, 2001)
         w = weight(geom, r)
         worst = max(worst, float(np.diff(w).max()) - 1e-15 * ctx.tol_scale)

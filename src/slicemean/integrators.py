@@ -4,10 +4,11 @@
   radial coordinates (k <= 3). The radial Beta-kernel Gauss rule carries the
   entire weight; combined weights sum to 1, so the constant function
   integrates to 1 up to round-off by construction.
-* slice_mean_mc: Monte Carlo directly on the slice sphere, sharded with
-  counter-keyed streams and order-fixed reduction, so results are
-  bit-identical for a given (seed, n_samples, shard_size) at any thread
-  count.
+* slice_mean_mc: Monte Carlo of uniform points on the slice sphere, drawn
+  in the same whitened coordinates (k normals and one chi-square per
+  sample, whatever N is), sharded with counter-keyed streams and
+  order-fixed reduction, so results are bit-identical for a given
+  (seed, n_samples, shard_size) at any thread count.
 * gaussian_limit: the limiting Gaussian expectation, by tensor
   Gauss-Hermite (k <= 3) or Monte Carlo with a divergence detector.
 * counterexample_probe: truncated integrals of exp(x^2/2)/(1+x^2) against
@@ -97,8 +98,11 @@ def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
     u, lam = beta_radial_rule(geom.k, geom.exponent, n_radial)
     dirs, omega = sphere_directions(geom.k, angular)
     r = geom.a_z * np.sqrt(u)
-    y = r[:, None, None] * dirs[None, :, :]
-    x = geom.x0 + y @ geom.pd.chol.T
+    # one (radial, direction, k) array, shifted in place: the node set is
+    # several MB at refined counts, and each extra temporary of that size
+    # is a fresh mmap with its page faults on every pass
+    x = r[:, None, None] * (dirs @ geom.pd.chol.T)
+    x += geom.x0
     vals = np.asarray(phi.eval(x), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFinite("integrand returned a non-finite value inside the slice")
@@ -122,8 +126,6 @@ def slice_mean_quadrature(
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
         )
-    if geom.pd is None:
-        raise ValueError("geometry was built without projection data")
     n_rad = int(cfg.radial_nodes)
     angular = cfg.angular_nodes
     coarse, total_evals = _quad_pass(geom, phi, max(4, n_rad // 2), _halve_angular(angular))
@@ -153,18 +155,19 @@ def _shard_rng(seed: int, shard_index: int) -> Generator:
     return Generator(Philox(key=(int(seed) << 64) | shard_index))
 
 
-def _sphere_shard(shard_index, size, seed, mat_top, a_z, x0, phi):
+def _slice_shard(shard_index, size, seed, geom: SliceGeometry, phi):
     rng = _shard_rng(seed, shard_index)
-    dim = mat_top.shape[1]
-    chunk = max(1, _CHUNK_ELEMS // dim)
+    k = geom.k
+    df = geom.n - geom.m - k
+    chunk = max(1, _CHUNK_ELEMS // (k + 1))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < size:
         b = min(chunk, size - done)
-        gmat = rng.standard_normal((b, dim))
-        norms = np.sqrt(np.einsum("ij,ij->i", gmat, gmat))
-        xk = x0 + (a_z / norms)[:, None] * (gmat @ mat_top.T)
+        z = rng.standard_normal((b, k))
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z) + rng.chisquare(df, b))
+        xk = geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.pd.chol.T)
         vals = np.asarray(phi.eval(xk), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise NonFinite("integrand returned a non-finite value on the slice")
@@ -196,24 +199,21 @@ def slice_mean_mc(
 ) -> IntegralResult:
     """Mean of phi over the slice by uniform sampling of the slice sphere.
 
-    Each sample draws a standard normal vector in the kernel coordinates,
-    scales it to the slice radius, and maps it through the kernel basis;
-    only the first k coordinates of the result feed the integrand. Works
-    for any k.
+    A uniform point on the slice is z0_N + a g/|g| with g standard normal
+    in an orthonormal kernel basis (dimension N - m). Its first k
+    coordinates are x0 + C a z / sqrt(|z|^2 + chi2), where z = C^-1 M g is
+    standard normal in R^k (M the first k rows of the basis, M M^T = C C^T)
+    and chi2 = |g|^2 - |z|^2 is an independent chi-square with N - m - k
+    degrees of freedom. So each sample costs k normals and one chi-square
+    draw at any N. Works for any k.
     """
-    if geom.pd is None:
-        raise ValueError("geometry was built without projection data")
-    mat_top = geom.pd.kernel_basis[: geom.k, :]
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
-    args = [
-        (i, size, cfg.seed, mat_top, geom.a_z, geom.x0, phi)
-        for i, size in enumerate(sizes)
-    ]
+    args = [(i, size, cfg.seed, geom, phi) for i, size in enumerate(sizes)]
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            moments = list(pool.map(lambda a: _sphere_shard(*a), args))
+            moments = list(pool.map(lambda a: _slice_shard(*a), args))
     else:
-        moments = [_sphere_shard(*a) for a in args]
+        moments = [_slice_shard(*a) for a in args]
     mean, stderr = _reduce_moments(moments, cfg.n_samples)
     return IntegralResult(value=mean, err_estimate=stderr, n_evals=cfg.n_samples)
 
@@ -328,12 +328,20 @@ def _graded_edges(r: float, nodes: int, z: float):
 def _probe_pass(z: float, r: float, nodes: int) -> float:
     edges = _graded_edges(r, nodes, z)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for sign in (1.0, -1.0):
-            x, w = gauss_legendre_panel(lo, hi, nodes)
-            vals = np.exp(z * (sign * x) - 0.5 * z * z) / (1.0 + x * x)
-            total += float(w @ vals)
-    return total / math.sqrt(2.0 * math.pi)
+    # one exponential per node: exp(z x - z^2/2) alone overflows near
+    # z x ~ 710 while the quotient by 1 + x^2 is still representable
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for sign in (1.0, -1.0):
+                x, w = gauss_legendre_panel(lo, hi, nodes)
+                vals = np.exp(z * (sign * x) - 0.5 * z * z - np.log1p(x * x))
+                total += float(w @ vals)
+    value = total / math.sqrt(2.0 * math.pi)
+    if not math.isfinite(value):
+        raise NonFinite(
+            f"truncated integral at z = {z:g}, R = {r:g} exceeds the float64 range"
+        )
+    return value
 
 
 def counterexample_probe(z: float, r: float, nodes: int = 48) -> float:
@@ -344,8 +352,9 @@ def counterexample_probe(z: float, r: float, nodes: int = 48) -> float:
     exp(z x - z^2/2)/(1 + x^2): evaluating that form avoids overflowing
     exp(x^2/2) at large |x|. For z = 0 the truncated integrals converge (to
     sqrt(pi/2)); for z != 0 they grow without bound in r. Large finite
-    values are legitimate output. Composite Gauss-Legendre on graded panels,
-    refined once if the half-node check misses relative 1e-8.
+    values are legitimate output; a value beyond the float64 range raises
+    NonFinite. Composite Gauss-Legendre on graded panels, refined once if
+    the half-node check misses relative 1e-8.
     """
     if r <= 0:
         raise ValueError("truncation radius must be positive")

@@ -81,29 +81,6 @@ def least_norm_solution(m: np.ndarray, w, tol: float = DEFAULT_TOL) -> np.ndarra
     return vh.T @ ((u.T @ w) / s)
 
 
-def spd_solve_and_logdet(g: np.ndarray, rhs, sym_tol: float = 1e-8):
-    """Solve g @ x = rhs for symmetric positive definite g; also ln det g.
-
-    Returns (solution, logdet). Raises NotSPD when ``g`` is materially
-    asymmetric or the Cholesky factorization meets a non-positive pivot.
-    """
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    rhs = np.asarray(rhs, dtype=float)
-    if g.shape[0] != g.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(g).max()))
-    if float(np.abs(g - g.T).max()) > sym_tol * scale:
-        raise NotSPD("matrix is not symmetric within tolerance")
-    try:
-        chol = scipy.linalg.cholesky(0.5 * (g + g.T), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
-    y = scipy.linalg.solve_triangular(chol, rhs, lower=True)
-    x = scipy.linalg.solve_triangular(chol.T, y, lower=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return x, logdet
-
-
 def cholesky_spd(g: np.ndarray) -> np.ndarray:
     """Lower-triangular factor C with C @ C.T = g, raising NotSPD on failure."""
     g = np.atleast_2d(np.asarray(g, dtype=float))

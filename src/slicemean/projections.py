@@ -8,6 +8,11 @@ G = M M^T, where M holds the first k rows of any orthonormal kernel basis.
 G is basis-invariant (it is the leading k x k block of the orthogonal
 projector onto the kernel), and everything downstream consumes only G, its
 Cholesky factor, and its log-determinant.
+
+Beyond the support width the data stop changing: for N >= width the kernel
+of [Q_w, 0] is ker Q_w x R^(N - width), its projector is diag(P_w, I), and
+the leading k x k block is that of P_w. So a kernel basis is never needed
+at more than width columns.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from .errors import BelowMinN
 class ProjectionData:
     """Per-N projection data: Gram matrix, factor, and the kernel basis.
 
-    ``n`` is a finite truncation dimension or INF, in which case the basis
-    is computed at the stabilization width (entries of G are then exactly
-    the limiting ones, because constraint rows are finitely supported).
-    ``log_det_l0`` is half the log-determinant of G: the log of the absolute
-    determinant of the restricted projection as a map between k-dimensional
-    spaces. ``chol`` is lower-triangular with chol @ chol.T = G.
+    ``n`` is a finite truncation dimension or INF. ``kernel_basis`` is an
+    orthonormal kernel basis at min(n, width) columns (width for INF); for
+    n >= width, G is therefore exactly the limiting one, because constraint
+    rows are finitely supported. ``log_det_l0`` is half the log-determinant
+    of G: the log of the absolute determinant of the restricted projection
+    as a map between k-dimensional spaces. ``chol`` is lower-triangular with
+    chol @ chol.T = G.
     """
 
     n: float
@@ -50,17 +56,18 @@ def build_projection(
 ) -> ProjectionData:
     """Kernel basis, Gram matrix and factor at truncation n (or INF).
 
-    Raises BelowMinN for finite n below n_min and NotSPD if the projection
-    fails to be onto at this n (excluded for n >= n_min by validation).
+    The basis is taken at min(n, width) columns, so the cost does not grow
+    with n. Raises BelowMinN for finite n below n_min and NotSPD if the
+    projection fails to be onto at this n (excluded for n >= n_min by
+    validation).
     """
     problem = validated.problem
-    if n == INF:
-        width = problem.width
-    else:
+    width = problem.width
+    if n != INF:
         n = int(n)
         if n < validated.n_min:
             raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
-        width = n
+        width = min(n, width)
     basis = numlin.kernel_onb(truncated_matrix(problem, width), tol)
     m_top = basis[: problem.k, :]
     g = m_top @ m_top.T
@@ -68,7 +75,7 @@ def build_projection(
     chol = numlin.cholesky_spd(g)
     log_det = float(np.sum(np.log(np.diag(chol))))
     return ProjectionData(
-        n=(INF if n == INF else n),
+        n=n,
         g=g,
         log_det_l0=log_det,
         chol=chol,

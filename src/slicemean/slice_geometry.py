@@ -31,8 +31,7 @@ class SliceGeometry:
 
     ``log_prefactor`` is the log of the constant multiplying the whitened
     k-dimensional integral; it tends to -(k/2) ln(2 pi) as N grows. ``pd``
-    is the projection data at this N, or None when the geometry was built
-    for constant-only diagnostics.
+    is the projection data at this N.
     """
 
     n: int
@@ -44,7 +43,7 @@ class SliceGeometry:
     a_z: float
     exponent: float
     log_prefactor: float
-    pd: ProjectionData | None
+    pd: ProjectionData
 
 
 def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
@@ -55,15 +54,8 @@ def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
     )
 
 
-def build_slice(
-    validated: ValidatedProblem, n: int, with_projection: bool = True
-) -> SliceGeometry:
+def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     """Slice geometry at truncation dimension n.
-
-    ``with_projection=False`` skips the kernel-basis construction; the
-    result then supports only the normalization-constant queries (used for
-    large-N constant-limit checks where building an n x (n-m) basis would
-    be pointless).
 
     Raises BelowMinN for n < n_min and SliceEmpty when the sphere does not
     reach the constraint set (n <= |center|^2).
@@ -91,7 +83,6 @@ def build_slice(
     d = n - 1
     a_z = math.sqrt(n - center_sq)
     exponent = 0.5 * (d - k - m - 1)
-    pd = build_projection(validated, n) if with_projection else None
     return SliceGeometry(
         n=n,
         d=d,
@@ -102,7 +93,7 @@ def build_slice(
         a_z=a_z,
         exponent=exponent,
         log_prefactor=_log_prefactor(d, k, m, a_z),
-        pd=pd,
+        pd=build_projection(validated, n),
     )
 
 

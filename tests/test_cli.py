@@ -71,6 +71,11 @@ class TestSliceAndLimit:
         assert payload["a_z"] == pytest.approx(63.0**0.5)
         assert payload["quad_value"] == pytest.approx(payload["limit_value"], abs=0.05)
 
+    def test_slice_at_a_million(self, tmp_path):
+        proc = run_cli("slice", "--n", "1000000", "--config", write_config(tmp_path))
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["N"] == 10**6
+
     def test_limit(self, tmp_path):
         proc = run_cli("limit", "--config", write_config(tmp_path))
         assert proc.returncode == 0
@@ -228,6 +233,12 @@ class TestCounterexampleCommand:
         assert proc.stdout.startswith("z,R,value")
         assert "grows without bound" in proc.stdout
         assert "p > 1" in proc.stdout
+
+    def test_value_beyond_float64_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, counterexample={"z": [-1.5], "R": [1.0, 1000.0]})
+        proc = run_cli("counterexample", "--config", cfg)
+        assert proc.returncode == 2
+        assert "float64" in proc.stderr
 
     def test_runs_without_config(self):
         proc = run_cli("counterexample")

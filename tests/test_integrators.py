@@ -1,4 +1,5 @@
 import math
+import time
 
 import dataclasses
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slicemean import (
+    AffineProblem,
     CosLinear,
     CounterexampleG,
     GaussHermite,
@@ -19,11 +21,24 @@ from slicemean import (
     build_slice,
     counterexample_probe,
     gaussian_limit,
+    kernel_onb,
     known_limit,
     slice_mean_mc,
     slice_mean_quadrature,
+    validate,
 )
+from slicemean.affine_model import truncated_matrix
 from slicemean.integrators import _gaussian_mc, _quad_pass
+
+
+def _full_basis_mc(validated, geom, phi, n_samples, seed):
+    """Reference slice MC: N - m normals per sample, pushed through an
+    N-column orthonormal kernel basis and scaled to the slice radius."""
+    mat_top = kernel_onb(truncated_matrix(validated.problem, geom.n))[: geom.k]
+    g = np.random.default_rng(seed).standard_normal((n_samples, mat_top.shape[1]))
+    scale = geom.a_z / np.linalg.norm(g, axis=1)
+    vals = phi.eval(geom.x0 + scale[:, None] * (g @ mat_top.T))
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
 
 
 class TestQuadrature:
@@ -56,8 +71,6 @@ class TestQuadrature:
         assert abs(quad.value - mc.value) <= 4.0 * (quad.err_estimate + mc.err_estimate)
 
     def test_k3_normalization_and_moment(self):
-        from slicemean import AffineProblem, validate
-
         validated = validate(
             AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3)
         )
@@ -77,8 +90,6 @@ class TestQuadrature:
         # rule, so a request refined twice evaluates one coarse pass and
         # three fine passes, and its value and error are those of the last
         # two rules
-        from slicemean import AffineProblem, validate
-
         validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         geom = build_slice(validated, 64)
         points = []
@@ -99,8 +110,6 @@ class TestQuadrature:
         assert res.err_estimate == abs(fine - coarse)
 
     def test_unsupported_dimension(self):
-        from slicemean import AffineProblem, validate
-
         validated = validate(
             AffineProblem(q=[[0.0, 0.0, 0.0, 0.0, 1.0]], w0=[0.0], k=4)
         )
@@ -174,9 +183,35 @@ class TestMonteCarlo:
         b = slice_mean_mc(geom, fn, McConfig(20_000, seed=4, shard_size=2048))
         assert a.value != b.value
 
-    def test_high_k_supported(self):
-        from slicemean import AffineProblem, validate
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("which_n", ["n_min", 16, 64])
+    def test_matches_full_basis_sampler(self, k, which_n):
+        # support width 20: n_min and 16 sample below it, 64 beyond it
+        rng = np.random.default_rng(100 + k)
+        validated = validate(
+            AffineProblem(q=rng.standard_normal((2, 20)), w0=0.5 * rng.standard_normal(2), k=k)
+        )
+        n = validated.n_min if which_n == "n_min" else which_n
+        geom = build_slice(validated, n)
+        alpha = [0] * k
+        alpha[0] += 1
+        alpha[-1] += 1
+        for fn in (CosLinear(t=[0.7, -0.4, 0.3][:k]), Monomial(alpha=tuple(alpha))):
+            got = slice_mean_mc(geom, fn, McConfig(20_000, seed=k))
+            want, want_se = _full_basis_mc(validated, geom, fn, 20_000, seed=k)
+            assert abs(got.value - want) <= 5.0 * math.hypot(got.err_estimate, want_se)
 
+    def test_million_dimensions(self, fix_b):
+        fn = CosLinear(t=[1.0])
+        start = time.perf_counter()
+        geom = build_slice(fix_b, 10**6)
+        quad = slice_mean_quadrature(geom, fn)
+        mc = slice_mean_mc(geom, fn, McConfig(100_000, seed=10))
+        assert time.perf_counter() - start < 1.0
+        assert abs(quad.value - known_limit(fn, fix_b)) < 1e-5
+        assert abs(mc.value - quad.value) <= 5.0 * mc.err_estimate
+
+    def test_high_k_supported(self):
         validated = validate(AffineProblem(q=[[0.0] * 5 + [1.0]], w0=[0.5], k=5))
         geom = build_slice(validated, 64)
         res = slice_mean_mc(geom, Monomial(alpha=(0,) * 5), McConfig(1000, seed=6))
@@ -213,8 +248,6 @@ class TestGaussianLimit:
             gaussian_limit(fix_a0, CounterexampleG(), GaussHermite(32))
 
     def test_gh_refuses_high_dimension(self):
-        from slicemean import AffineProblem, validate
-
         validated = validate(AffineProblem(q=[[0.0] * 4 + [1.0]], w0=[0.0], k=4))
         with pytest.raises(UnsupportedDimension):
             gaussian_limit(validated, Monomial(alpha=(0,) * 4), GaussHermite(16))
@@ -264,6 +297,20 @@ class TestCounterexampleProbe:
         vals = [counterexample_probe(0.0, r) for r in (1.0, 10.0, 100.0, 1000.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < math.sqrt(math.pi / 2.0)
+
+    def test_large_shift_times_radius_stays_finite(self):
+        # exp(z R - z^2/2) alone overflows here; the integrand peaks near
+        # e^701. Oracle: endpoint Laplace asymptotics e^g(R) / g'(R) with
+        # g(x) = z x - z^2/2 - log(1 + x^2), relative error ~ g''/g'^2 ~ 4e-6
+        z, r = 1.0, 715.0
+        g = z * r - 0.5 * z * z - math.log1p(r * r)
+        slope = z - 2.0 * r / (1.0 + r * r)
+        want = math.exp(g - math.log(slope) - 0.5 * math.log(2.0 * math.pi))
+        assert_allclose(counterexample_probe(z, r), want, rtol=1e-5)
+
+    def test_value_beyond_float64_raises(self):
+        with pytest.raises(NonFinite):
+            counterexample_probe(-1.5, 1000.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):

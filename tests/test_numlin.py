@@ -13,8 +13,8 @@ from slicemean import (
     kernel_onb,
     least_norm_solution,
     log_surface_constant,
-    spd_solve_and_logdet,
 )
+from slicemean.numlin import cholesky_spd
 
 
 class TestKernelOnb:
@@ -93,25 +93,13 @@ class TestLeastNorm:
             least_norm_solution([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
-class TestSpdSolve:
-    def test_identity(self):
-        x, logdet = spd_solve_and_logdet(np.eye(2), [1.0, 2.0])
-        assert_allclose(x, [1.0, 2.0])
-        assert logdet == 0.0
-
+class TestCholeskySpd:
     def test_scalar(self):
-        # oracle: 1 / 0.64 = 1.5625 and ln 0.64 by scalar arithmetic
-        x, logdet = spd_solve_and_logdet([[0.64]], [1.0])
-        assert_allclose(x, [1.5625], rtol=1e-15)
-        assert_allclose(logdet, math.log(0.64), rtol=1e-15)
+        assert_allclose(cholesky_spd([[0.64]]), [[0.8]], rtol=1e-15)
 
     def test_indefinite(self):
         with pytest.raises(NotSPD):
-            spd_solve_and_logdet([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
-
-    def test_asymmetric(self):
-        with pytest.raises(NotSPD):
-            spd_solve_and_logdet([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+            cholesky_spd([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestLogSurfaceConstant:

@@ -7,11 +7,12 @@ from numpy.testing import assert_allclose
 from slicemean import (
     BelowMinN,
     build_projection,
+    kernel_onb,
     kernel_projection_norm_sq,
     preimage_norm_sq,
     push_coordinates,
 )
-from slicemean.affine_model import INF
+from slicemean.affine_model import INF, truncated_matrix
 from slicemean.harness import random_validated
 
 
@@ -30,10 +31,12 @@ class TestBuildProjection:
         assert_allclose(pd.chol, [[0.8]], atol=1e-14)
 
     def test_fix_b_stabilized_at_support_width(self, fix_b):
+        # from the full N-column kernel basis: build_projection takes its
+        # basis at the support width, so it matches INF by construction
         pd_inf = build_projection(fix_b, INF)
         for n in (4, 8, 32):
-            pd = build_projection(fix_b, n)
-            assert_allclose(pd.g, pd_inf.g, atol=1e-14)
+            m_top = kernel_onb(truncated_matrix(fix_b.problem, n))[:1]
+            assert_allclose(m_top @ m_top.T, pd_inf.g, atol=1e-14)
 
     def test_fix_c_gram(self, fix_c):
         # kernel projector of the all-ones row is I - J/4 on the support
@@ -41,8 +44,9 @@ class TestBuildProjection:
         assert_allclose(pd.g, [[0.75, -0.25], [-0.25, 0.75]], atol=1e-13)
 
     def test_kernel_basis_shape(self, fix_b):
+        # taken at the support width 2, whatever N >= width is
         pd = build_projection(fix_b, 16)
-        assert pd.kernel_basis.shape == (16, 15)
+        assert pd.kernel_basis.shape == (2, 1)
 
     def test_below_min_n(self, fix_b):
         with pytest.raises(BelowMinN):

@@ -45,18 +45,18 @@ class TestBuildSlice:
 
 class TestWeight:
     def test_endpoints(self, fix_b):
-        geom = build_slice(fix_b, 64, with_projection=False)
+        geom = build_slice(fix_b, 64)
         assert weight(geom, 0.0) == 1.0
         assert weight(geom, geom.a_z) == 0.0
         assert weight(geom, 2.0 * geom.a_z) == 0.0
 
     def test_gaussian_limit_of_weight(self, fix_a0):
         # (1 - 1/N)^((N-4)/2) -> exp(-1/2); log expansion oracle at N = 1e6
-        geom = build_slice(fix_a0, 10**6, with_projection=False)
+        geom = build_slice(fix_a0, 10**6)
         assert abs(weight(geom, 1.0) - math.exp(-0.5)) < 1e-5
 
     def test_non_increasing_and_boundary_continuous(self, fix_a3):
-        geom = build_slice(fix_a3, 64, with_projection=False)
+        geom = build_slice(fix_a3, 64)
         r = np.linspace(0.0, geom.a_z, 1001)
         w = weight(geom, r)
         assert np.all(np.diff(w) <= 1e-15)
@@ -65,20 +65,20 @@ class TestWeight:
     def test_accurate_near_boundary(self, fix_a0):
         # log1p form: the bracket is ~1e-16 at the boundary and must not
         # collapse to 0/1 garbage just inside it
-        geom = build_slice(fix_a0, 256, with_projection=False)
+        geom = build_slice(fix_a0, 256)
         r = geom.a_z * (1.0 - 1e-12)
         expected = math.exp(geom.exponent * math.log1p(-((r / geom.a_z) ** 2)))
         assert_allclose(weight(geom, r), expected, rtol=1e-10)
 
     def test_rejects_negative_radius(self, fix_b):
-        geom = build_slice(fix_b, 16, with_projection=False)
+        geom = build_slice(fix_b, 16)
         with pytest.raises(ValueError):
             weight(geom, -1.0)
 
     def test_exponent_zero_at_minimal_n(self, fix_b):
         # at N = n_min = k+m+2 the weight exponent degenerates to 0: flat
         # weight inside the ball, still 0 at the rim
-        geom = build_slice(fix_b, 4, with_projection=False)
+        geom = build_slice(fix_b, 4)
         assert geom.exponent == 0.0
         assert weight(geom, 0.5 * geom.a_z) == 1.0
         assert weight(geom, geom.a_z) == 0.0
@@ -87,7 +87,7 @@ class TestWeight:
 class TestLogNormPrefactor:
     def test_small_dimension_closed_form(self, fix_a0):
         # d = 3, k = m = 1: c1/(c2 a) = 2 pi/(4 pi a) = 1/(2 a)
-        geom = build_slice(fix_a0, 4, with_projection=False)
+        geom = build_slice(fix_a0, 4)
         assert_allclose(
             geom.log_prefactor, math.log(1.0 / (2.0 * geom.a_z)), rtol=1e-12
         )
@@ -100,7 +100,7 @@ class TestLogNormPrefactor:
         for i in range(m):
             q[i, k + i] = 1.0
         validated = validate(AffineProblem(q=q, w0=0.5 * np.ones(m), k=k))
-        geom = build_slice(validated, 10**6, with_projection=False)
+        geom = build_slice(validated, 10**6)
         got = math.exp(geom.log_prefactor)
         want = (2.0 * math.pi) ** (-k / 2.0)
         assert abs(got - want) / want < 1e-3
