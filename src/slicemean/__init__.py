@@ -7,7 +7,6 @@ from .affine_model import (
     INF,
     AffineProblem,
     ValidatedProblem,
-    closest_point,
     validate,
 )
 from .errors import (
@@ -24,7 +23,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .integrators import (
-    GaussHermite,
     IntegralResult,
     McConfig,
     QuadConfig,
@@ -43,7 +41,6 @@ from .projections import (
     build_projection,
     kernel_projection_norm_sq,
     preimage_norm_sq,
-    push_coordinates,
 )
 from .slice_geometry import SliceGeometry, build_slice, weight
 from .testfns import (
@@ -66,7 +63,6 @@ __all__ = [
     "ConfigError",
     "CosLinear",
     "CounterexampleG",
-    "GaussHermite",
     "INF",
     "InadmissibleFunction",
     "Infeasible",
@@ -89,7 +85,6 @@ __all__ = [
     "ValidatedProblem",
     "build_projection",
     "build_slice",
-    "closest_point",
     "counterexample_probe",
     "gaussian_limit",
     "kernel_onb",
@@ -98,7 +93,6 @@ __all__ = [
     "least_norm_solution",
     "log_surface_constant",
     "preimage_norm_sq",
-    "push_coordinates",
     "slice_mean_mc",
     "slice_mean_quadrature",
     "validate",

@@ -1,6 +1,6 @@
 """Affine constraint model: the subspace cut out by finitely supported
-linear constraints, its closest points, and the minimal admissible
-truncation dimension.
+linear constraints, its closest point to the origin at each truncation,
+and the minimal admissible truncation dimension.
 
 A problem is a triple (Q, w0, k): an m x s constraint matrix whose rows
 are the constraint vectors (coordinates beyond s are implicitly
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .errors import BelowMinN, Infeasible, ProjectionNotOnto, RankDeficient
+from .errors import Infeasible, ProjectionNotOnto, RankDeficient
 
 #: Sentinel for "no truncation": the stabilized infinite-dimensional object.
 INF = math.inf
@@ -73,7 +73,8 @@ class ValidatedProblem:
 
     z0 is the closest point to the origin on the constraint set, zero-padded
     to the stabilization width; n_min is the smallest truncation dimension at
-    which every per-N requirement holds (and keeps holding for larger N).
+    which every per-N requirement holds (see ``validate`` for the one way it
+    can fail again above n_min).
     """
 
     problem: AffineProblem
@@ -105,37 +106,35 @@ def truncated_matrix(problem: AffineProblem, n: int) -> np.ndarray:
     return out
 
 
-def least_norm_center(problem: AffineProblem, n: int, tol: float = numlin.DEFAULT_TOL) -> np.ndarray:
+def least_norm_center(problem: AffineProblem, n: int) -> np.ndarray:
     """Closest point to the origin on the width-n truncated constraint set.
 
     Valid for any n at which the truncated matrix still has full row rank,
-    including n below n_min; used by the n_min search and by diagnostics of
-    the pre-stabilization regime.
+    including n below n_min; used by the n_min search, by build_slice below
+    the support width and by diagnostics of the pre-stabilization regime.
     """
-    return numlin.least_norm_solution(truncated_matrix(problem, n), problem.w0, tol)
+    return numlin.least_norm_solution(truncated_matrix(problem, n), problem.w0)
 
 
-def _projection_onto_rank(problem: AffineProblem, n: int, tol: float) -> bool:
+def _projection_onto_rank(problem: AffineProblem, n: int) -> bool:
     # The first-k projection of ker Q_n covers R^k iff the k coordinate rows
     # are independent of the rows of Q_n, i.e. the stacked matrix has rank m+k.
     k = problem.k
     if n - problem.m < k:
         return False
     stacked = np.vstack([truncated_matrix(problem, n), np.eye(k, n)])
-    return numlin.matrix_rank(stacked, tol) == problem.m + k
+    return numlin.matrix_rank(stacked) == problem.m + k
 
 
-def validate(
-    problem: AffineProblem,
-    tol: float = numlin.DEFAULT_TOL,
-    n_cap: int = DEFAULT_N_CAP,
-) -> ValidatedProblem:
+def validate(problem: AffineProblem) -> ValidatedProblem:
     """Check the standing hypotheses and precompute z0 and n_min.
 
     Verifies that Q has full row rank (the constraints are independent) and
     that the first-k-coordinates projection restricted to ker Q is onto R^k,
     the latter as a rank-k check on the k-row submatrix of a kernel basis at
-    the stabilization width. Then finds the smallest N such that
+    the stabilization width. Every rank decision uses the one cutoff of
+    ``numlin``, which ``rank_checks["tol"]`` reports. Then finds the
+    smallest N such that
 
       * the truncated constraints still have rank m,
       * the truncated kernel still projects onto R^k,
@@ -143,32 +142,38 @@ def validate(
       * N exceeds the squared norm of the truncated closest point
         (the slice sphere has positive radius).
 
-    Each condition is monotone in N, so all hold for every N >= n_min.
+    In exact arithmetic each condition is monotone in N, so all would hold
+    for every N >= n_min. In floating point the numerical rank of a
+    truncation can dip below m at some N between n_min and the support
+    width (rows that are nearly dependent on their first N columns only);
+    build_slice and build_projection raise RankDeficient at such an N.
+    From the support width on, every condition holds.
 
-    Raises RankDeficient, ProjectionNotOnto, or Infeasible (no N <= n_cap).
+    Raises RankDeficient, ProjectionNotOnto, or Infeasible (no N <=
+    DEFAULT_N_CAP).
     """
     m, k, w = problem.m, problem.k, problem.width
     q_w = truncated_matrix(problem, w)
-    if numlin.matrix_rank(q_w, tol) < m:
+    if numlin.matrix_rank(q_w) < m:
         raise RankDeficient(f"constraint matrix has rank < {m}")
-    basis = numlin.kernel_onb(q_w, tol)
-    if numlin.matrix_rank(basis[:k, :], tol) < k:
+    basis = numlin.kernel_onb(q_w)
+    if numlin.matrix_rank(basis[:k, :]) < k:
         raise ProjectionNotOnto(
             "kernel of the constraints does not project onto the first "
             f"{k} coordinate(s)"
         )
 
     z0 = np.zeros(w)
-    z0_small = numlin.least_norm_solution(q_w, problem.w0, tol)
+    z0_small = numlin.least_norm_solution(q_w, problem.w0)
     z0[: z0_small.size] = z0_small
 
     n_min = None
     for n in range(k + m + 2, w + 1):
-        if numlin.matrix_rank(truncated_matrix(problem, n), tol) < m:
+        if numlin.matrix_rank(truncated_matrix(problem, n)) < m:
             continue
-        if not _projection_onto_rank(problem, n, tol):
+        if not _projection_onto_rank(problem, n):
             continue
-        zn = least_norm_center(problem, n, tol)
+        zn = least_norm_center(problem, n)
         if n > float(zn @ zn):
             n_min = n
             break
@@ -176,9 +181,9 @@ def validate(
         # Beyond the stabilization width only the radius condition can bind.
         z0_sq = float(z0 @ z0)
         n_min = max(w + 1, k + m + 2, math.floor(z0_sq) + 1)
-        if n_min > n_cap:
+        if n_min > DEFAULT_N_CAP:
             raise Infeasible(
-                f"no admissible N <= {n_cap}: need N > |z0|^2 = {z0_sq:g}"
+                f"no admissible N <= {DEFAULT_N_CAP}: need N > |z0|^2 = {z0_sq:g}"
             )
 
     checks = {
@@ -186,25 +191,6 @@ def validate(
         "projection_onto": True,
         "n_min": n_min,
         "z0_norm_sq": float(z0 @ z0),
-        "tol": tol,
+        "tol": numlin.DEFAULT_TOL,
     }
     return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, rank_checks=checks)
-
-
-def closest_point(validated: ValidatedProblem, n) -> np.ndarray:
-    """Closest point to the origin on the width-n truncation (z0 for n = INF).
-
-    For finite n the result has length min(n, width); truncation beyond the
-    support width is lossless, so the stored z0 is returned there directly.
-
-    Raises BelowMinN for finite n < n_min.
-    """
-    problem = validated.problem
-    if n == INF:
-        return validated.z0.copy()
-    n = int(n)
-    if n < validated.n_min:
-        raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
-    if n >= problem.width:
-        return validated.z0.copy()
-    return least_norm_center(problem, n)

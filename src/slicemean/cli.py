@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: validate, slice, limit, sweep, verify, counterexample.
+Subcommands: validate, slice, limit, sweep, verify, counterexample; each
+takes --config and only the flags it reads.
 Exit codes: 0 success, 1 verification failure, 2 usage/config/IO error.
 Outputs are deterministic for a fixed config and seed; wall-clock timings
-are written as 0.0 unless --timing is given, so repeated runs produce
+are written as 0.0 unless sweep --timing is given, so repeated runs produce
 byte-identical files.
 """
 
@@ -16,10 +17,23 @@ import sys
 from . import harness
 from .affine_model import INF, validate
 from .errors import ConfigError, InadmissibleFunction, SliceMeanError
-from .integrators import GaussHermite, gaussian_limit, slice_mean_mc, slice_mean_quadrature
+from .integrators import gaussian_limit, slice_mean_mc, slice_mean_quadrature
 from .projections import build_projection
 from .slice_geometry import build_slice
 from .testfns import known_limit
+
+
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="truncation dimension N"),
+    "--threads": dict(type=int, default=1, help="worker threads (default 1)"),
+    "--seed": dict(type=int, default=None, help="overrides the config seed"),
+    "--csv": dict(default=None, help="CSV output path (overrides config)"),
+    "--svg": dict(default=None, help="SVG chart output path (overrides config)"),
+    "--timing": dict(
+        action="store_true",
+        help="record real wall-clock times (makes CSV output non-reproducible)",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,27 +44,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "Gaussian limits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", help="path to the JSON configuration")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-        p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        p.add_argument("--csv", default=None, help="CSV output path (overrides config)")
-        p.add_argument("--svg", default=None, help="SVG chart output path (overrides config)")
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="record real wall-clock times (makes CSV output non-reproducible)",
-        )
-
-    common(sub.add_parser("validate", help="check the problem hypotheses"))
-    p_slice = sub.add_parser("slice", help="evaluate one slice mean at a fixed N")
-    common(p_slice)
-    p_slice.add_argument("--n", type=int, required=True, help="truncation dimension N")
-    common(sub.add_parser("limit", help="evaluate the limiting Gaussian integral"))
-    common(sub.add_parser("sweep", help="run the convergence sweep over the N schedule"))
-    common(sub.add_parser("verify", help="run the property verification suite"))
-    common(sub.add_parser("counterexample", help="probe the shifted-Gaussian counterexample"))
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -67,6 +65,7 @@ def _out_path(args, cfg: dict, key: str, flag_value):
 
 
 def cmd_validate(args) -> int:
+    """Check the problem hypotheses."""
     cfg = _load(args)
     problem = harness.problem_from_config(cfg)
     validated = validate(problem)
@@ -88,6 +87,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    """Evaluate one slice mean at a fixed N."""
     cfg = _load(args)
     validated = validate(harness.problem_from_config(cfg))
     fn = harness.function_from_config(cfg)
@@ -117,6 +117,7 @@ def cmd_slice(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    """Evaluate the limiting Gaussian integral."""
     cfg = _load(args)
     validated = validate(harness.problem_from_config(cfg))
     fn = harness.function_from_config(cfg)
@@ -127,7 +128,7 @@ def cmd_limit(args) -> int:
     if closed is not None:
         payload["closed_form"] = float(closed)
     if validated.k <= 3 and fn.gauss_hermite_ok:
-        res = gaussian_limit(validated, fn, GaussHermite(64))
+        res = gaussian_limit(validated, fn)
         payload["gauss_hermite"] = {
             "value": res.value,
             "err_estimate": res.err_estimate,
@@ -147,6 +148,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run the convergence sweep over the N schedule."""
     cfg = _load(args)
     rows, notes = harness.run_sweep(
         cfg, threads=args.threads, seed=args.seed, timing=args.timing
@@ -169,6 +171,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run the property verification suite."""
     cfg = _load(args)
     report = harness.run_verify(cfg, threads=args.threads, seed=args.seed)
     print(report.to_json())
@@ -180,6 +183,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    """Probe the shifted-Gaussian counterexample."""
     cfg = _load(args)
     rows, summary = harness.run_counterexample(cfg)
     table = harness.counterexample_csv(rows)
@@ -193,20 +197,21 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+#: subcommand -> (handler, the flags it reads besides --config)
 _COMMANDS = {
-    "validate": cmd_validate,
-    "slice": cmd_slice,
-    "limit": cmd_limit,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "counterexample": cmd_counterexample,
+    "validate": (cmd_validate, ()),
+    "slice": (cmd_slice, ("--n", "--threads", "--seed")),
+    "limit": (cmd_limit, ("--seed",)),
+    "sweep": (cmd_sweep, ("--threads", "--seed", "--csv", "--svg", "--timing")),
+    "verify": (cmd_verify, ("--threads", "--seed", "--csv")),
+    "counterexample": (cmd_counterexample, ("--csv",)),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except InadmissibleFunction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

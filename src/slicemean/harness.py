@@ -34,7 +34,6 @@ from .errors import (
     SliceMeanError,
 )
 from .integrators import (
-    GaussHermite,
     McConfig,
     QuadConfig,
     counterexample_probe,
@@ -191,11 +190,8 @@ def function_from_config(cfg: dict) -> TestFunction:
 
 
 def quad_config(cfg: dict) -> QuadConfig:
-    section = dict(cfg.get("quad", {}))
-    if isinstance(section.get("angular_nodes"), list):
-        section["angular_nodes"] = tuple(section["angular_nodes"])
     try:
-        return QuadConfig(**section)
+        return QuadConfig(**cfg.get("quad", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'quad' section: {exc}") from exc
 
@@ -224,12 +220,12 @@ def config_seed(cfg: dict, override=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def limit_value(validated: ValidatedProblem, fn: TestFunction, gh_nodes: int = 64) -> float:
+def limit_value(validated: ValidatedProblem, fn: TestFunction) -> float:
     """Closed-form limit when the registry declares one, else Gauss-Hermite."""
     closed = known_limit(fn, validated)
     if closed is not None:
         return float(closed)
-    return gaussian_limit(validated, fn, GaussHermite(gh_nodes)).value
+    return gaussian_limit(validated, fn).value
 
 
 def run_sweep(
@@ -240,10 +236,11 @@ def run_sweep(
 ):
     """Execute the configured sweep; returns (rows, notes).
 
-    Rows are ascending in N. An N at which the sphere misses the constraint
-    set contributes a note instead of a row. Functions declared L^1 only are
-    refused: the convergence guarantee needs L^p for some p > 1 against the
-    limiting Gaussian.
+    Rows are ascending in N. An N at which no slice can be built (the
+    sphere misses the constraint set, N is below n_min, or the truncated
+    constraints lose rank) contributes a note instead of a row. Functions
+    declared L^1 only are refused: the convergence guarantee needs L^p for
+    some p > 1 against the limiting Gaussian.
     """
     problem = problem_from_config(cfg)
     fn = function_from_config(cfg)

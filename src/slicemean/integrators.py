@@ -10,7 +10,8 @@
   order-fixed reduction, so results are bit-identical for a given
   (seed, n_samples, shard_size) at any thread count.
 * gaussian_limit: the limiting Gaussian expectation, by tensor
-  Gauss-Hermite (k <= 3) or Monte Carlo with a divergence detector.
+  Gauss-Hermite with 64 nodes per axis (k <= 3) or Monte Carlo with a
+  divergence detector.
 * counterexample_probe: truncated integrals of exp(x^2/2)/(1+x^2) against
   shifted unit Gaussians, exhibiting a finite centered limit and unbounded
   growth for any shift.
@@ -44,17 +45,18 @@ _CHUNK_ELEMS = 1 << 22
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Node counts of the finest first pass and the refinement target.
+
+    ``angular_nodes`` is the number of circle points for k = 2 and the
+    direction budget for k = 3 (see ``sphere_directions``).
+    """
+
     radial_nodes: int = 128
-    angular_nodes: int | tuple = 64
+    angular_nodes: int = 64
     target_rel_err: float = 1e-9
 
     def __post_init__(self):
-        counts = [self.radial_nodes]
-        if isinstance(self.angular_nodes, (tuple, list)):
-            counts += [int(a) for a in self.angular_nodes]
-        else:
-            counts.append(int(self.angular_nodes))
-        if any(c < 8 for c in counts):
+        if min(int(self.radial_nodes), int(self.angular_nodes)) < 8:
             raise ValueError("node counts must be >= 8")
         if not (0.0 < self.target_rel_err < 1e-2):
             raise ValueError("target_rel_err must lie in (0, 1e-2)")
@@ -76,22 +78,11 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class GaussHermite:
-    nodes: int = 64
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     value: float
     err_estimate: float
     n_evals: int
     diverged: bool = False
-
-
-def _halve_angular(angular_nodes):
-    if isinstance(angular_nodes, (tuple, list)):
-        return tuple(max(4, int(a) // 2) for a in angular_nodes)
-    return max(4, int(angular_nodes) // 2)
 
 
 def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
@@ -126,21 +117,17 @@ def slice_mean_quadrature(
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
         )
-    n_rad = int(cfg.radial_nodes)
-    angular = cfg.angular_nodes
-    coarse, total_evals = _quad_pass(geom, phi, max(4, n_rad // 2), _halve_angular(angular))
+    n_rad, n_ang = int(cfg.radial_nodes), int(cfg.angular_nodes)
+    coarse, total_evals = _quad_pass(geom, phi, max(4, n_rad // 2), max(4, n_ang // 2))
     for _ in range(3):
-        value, n_evals = _quad_pass(geom, phi, n_rad, angular)
+        value, n_evals = _quad_pass(geom, phi, n_rad, n_ang)
         total_evals += n_evals
         err = abs(value - coarse)
         if err <= cfg.target_rel_err * max(1.0, abs(value)):
             break
         coarse = value
         n_rad *= 2
-        if not isinstance(angular, (tuple, list)):
-            angular = int(angular) * 2
-        else:
-            angular = tuple(int(a) * 2 for a in angular)
+        n_ang *= 2
     return IntegralResult(value=value, err_estimate=err, n_evals=total_evals)
 
 
@@ -155,25 +142,28 @@ def _shard_rng(seed: int, shard_index: int) -> Generator:
     return Generator(Philox(key=(int(seed) << 64) | shard_index))
 
 
-def _slice_shard(shard_index, size, seed, geom: SliceGeometry, phi):
+def _mc_shard(seed, shard_index, size, k, draw, phi):
+    """Sum and sum of squares of phi over one shard of ``size`` samples.
+
+    ``draw(rng, b)`` returns b sample points of shape (b, k), taking at most
+    k + 1 numbers per sample from rng; the shard is drawn in chunks of at
+    most _CHUNK_ELEMS numbers, so its memory does not grow with its size.
+    """
     rng = _shard_rng(seed, shard_index)
-    k = geom.k
-    df = geom.n - geom.m - k
     chunk = max(1, _CHUNK_ELEMS // (k + 1))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < size:
         b = min(chunk, size - done)
-        z = rng.standard_normal((b, k))
-        norms = np.sqrt(np.einsum("ij,ij->i", z, z) + rng.chisquare(df, b))
-        xk = geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.pd.chol.T)
-        vals = np.asarray(phi.eval(xk), dtype=float)
+        vals = np.asarray(phi.eval(draw(rng, b)), dtype=float)
         if not np.all(np.isfinite(vals)):
-            raise NonFinite("integrand returned a non-finite value on the slice")
+            raise NonFinite("integrand returned a non-finite value at a sample")
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += b
+        # free this chunk before the next draw: the peak stays one chunk's
+        del vals
     return total, total_sq
 
 
@@ -207,18 +197,26 @@ def slice_mean_mc(
     degrees of freedom. So each sample costs k normals and one chi-square
     draw at any N. Works for any k.
     """
+    k = geom.k
+    df = geom.n - geom.m - k
+
+    def draw(rng, b):
+        z = rng.standard_normal((b, k))
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z) + rng.chisquare(df, b))
+        return geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.pd.chol.T)
+
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
-    args = [(i, size, cfg.seed, geom, phi) for i, size in enumerate(sizes)]
+    args = [(cfg.seed, i, size, k, draw, phi) for i, size in enumerate(sizes)]
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            moments = list(pool.map(lambda a: _slice_shard(*a), args))
+            moments = list(pool.map(lambda a: _mc_shard(*a), args))
     else:
-        moments = [_slice_shard(*a) for a in args]
+        moments = [_mc_shard(*a) for a in args]
     mean, stderr = _reduce_moments(moments, cfg.n_samples)
     return IntegralResult(value=mean, err_estimate=stderr, n_evals=cfg.n_samples)
 
 
-def _gauss_hermite_limit(mu, chol, phi, nodes: int):
+def _gauss_hermite_limit(mu, chol, phi):
     k = mu.size
 
     def tensor_value(n):
@@ -234,8 +232,8 @@ def _gauss_hermite_limit(mu, chol, phi, nodes: int):
             raise NonFinite("integrand returned a non-finite value")
         return float(wts @ vals), pts.shape[0]
 
-    value, n1 = tensor_value(nodes)
-    coarse, n2 = tensor_value(max(4, nodes // 2))
+    value, n1 = tensor_value(64)
+    coarse, n2 = tensor_value(32)
     return IntegralResult(value=value, err_estimate=abs(value - coarse), n_evals=n1 + n2)
 
 
@@ -252,6 +250,10 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
     heavy sample inflates the estimate and its stderr together.)
     """
     k = mu.size
+
+    def draw(rng, b):
+        return mu + rng.standard_normal((b, k)) @ chol.T
+
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     moments = []
     done = 0
@@ -260,13 +262,7 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
     next_checkpoint = sizes[0]
     strikes = 0
     for i, size in enumerate(sizes):
-        rng = _shard_rng(cfg.seed, i)
-        gmat = rng.standard_normal((size, k))
-        x = mu + gmat @ chol.T
-        vals = np.asarray(phi.eval(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("integrand returned a non-finite value")
-        moments.append((float(vals.sum()), float((vals * vals).sum())))
+        moments.append(_mc_shard(cfg.seed, i, size, k, draw, phi))
         done += size
         if done >= next_checkpoint:
             est, stderr = _reduce_moments(moments, done)
@@ -286,30 +282,29 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
 
 
 def gaussian_limit(
-    validated: ValidatedProblem,
-    phi: TestFunction,
-    method: GaussHermite | McConfig = GaussHermite(),
+    validated: ValidatedProblem, phi: TestFunction, mc: McConfig | None = None
 ) -> IntegralResult:
     """Expectation of phi under the limiting Gaussian on R^k.
 
     The measure has mean z0 restricted to the first k coordinates and
     covariance the stabilized Gram matrix; sampling (or placing Hermite
     nodes) happens in whitened coordinates through its Cholesky factor.
+    With ``mc`` None the value is tensor Gauss-Hermite with 64 nodes per
+    axis (k <= 3), its error estimate the difference against 32 nodes;
+    otherwise it is Monte Carlo with the divergence detector.
     """
     pd = build_projection(validated, INF)
     mu = validated.z0_cyl
-    if isinstance(method, GaussHermite):
-        if validated.k > 3:
-            raise UnsupportedDimension(
-                "tensor Gauss-Hermite supports k <= 3; use Monte Carlo"
-            )
-        if not phi.gauss_hermite_ok:
-            raise InadmissibleFunction(
-                f"{phi.kind} grows too fast for Gauss-Hermite quadrature; "
-                "use the Monte Carlo method"
-            )
-        return _gauss_hermite_limit(mu, pd.chol, phi, method.nodes)
-    return _gaussian_mc(mu, pd.chol, phi, method)
+    if mc is not None:
+        return _gaussian_mc(mu, pd.chol, phi, mc)
+    if validated.k > 3:
+        raise UnsupportedDimension("tensor Gauss-Hermite supports k <= 3; use Monte Carlo")
+    if not phi.gauss_hermite_ok:
+        raise InadmissibleFunction(
+            f"{phi.kind} grows too fast for Gauss-Hermite quadrature; "
+            "use the Monte Carlo method"
+        )
+    return _gauss_hermite_limit(mu, pd.chol, phi)
 
 
 def _graded_edges(r: float, nodes: int, z: float):

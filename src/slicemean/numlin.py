@@ -2,7 +2,8 @@
 
 Everything here is a pure function of its arguments. Matrices are plain
 2-D float64 ``numpy.ndarray`` objects in row-major layout; vectors are 1-D
-arrays. Rank decisions use a relative singular-value cutoff.
+arrays. Every rank decision uses one relative singular-value cutoff,
+DEFAULT_TOL; callers never pass their own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import scipy.linalg
 
 from .errors import NotSPD, RankDeficient
 
-#: Default relative rank cutoff: singular values below DEFAULT_TOL times the
+#: The one relative rank cutoff: singular values below DEFAULT_TOL times the
 #: largest singular value count as zero.
 DEFAULT_TOL = 1e-10
 
@@ -35,32 +36,30 @@ def as_matrix(rows: int, cols: int, entries) -> np.ndarray:
     return a.reshape(rows, cols)
 
 
-def kernel_onb(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def kernel_onb(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of ``m``.
 
     Returns an (n, n - r) matrix whose columns are orthonormal and span
     ker(m), where r is the numerical rank of ``m`` at the relative cutoff
-    ``tol``. The basis may be empty (zero columns) for full column rank.
+    DEFAULT_TOL. The basis may be empty (zero columns) for full column rank.
     Column order and signs are arbitrary; callers must only rely on the
     spanned subspace.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _, s, vh = scipy.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 0.0)))
     return vh[rank:].T.copy()
 
 
-def matrix_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank at the relative cutoff ``tol``."""
+def matrix_rank(m: np.ndarray) -> int:
+    """Numerical rank at the relative cutoff DEFAULT_TOL."""
     s = scipy.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > DEFAULT_TOL * s[0]))
 
 
-def least_norm_solution(m: np.ndarray, w, tol: float = DEFAULT_TOL) -> np.ndarray:
+def least_norm_solution(m: np.ndarray, w) -> np.ndarray:
     """Minimal-Euclidean-norm solution x of m @ x = w.
 
     Equals m.T @ inv(m @ m.T) @ w for full row rank; computed through the
@@ -75,9 +74,9 @@ def least_norm_solution(m: np.ndarray, w, tol: float = DEFAULT_TOL) -> np.ndarra
     if w.size != nrows:
         raise ValueError(f"rhs length {w.size} does not match {nrows} rows")
     u, s, vh = scipy.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 0.0)))
     if rank < nrows:
-        raise RankDeficient(f"row rank {rank} < {nrows} at tol {tol:g}")
+        raise RankDeficient(f"row rank {rank} < {nrows} at tol {DEFAULT_TOL:g}")
     return vh.T @ ((u.T @ w) / s)
 
 

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import numlin
 from .affine_model import INF, ValidatedProblem, truncated_matrix
-from .errors import BelowMinN
+from .errors import BelowMinN, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,14 @@ class ProjectionData:
         return self.g.shape[0]
 
 
-def build_projection(
-    validated: ValidatedProblem, n, tol: float = numlin.DEFAULT_TOL
-) -> ProjectionData:
+def build_projection(validated: ValidatedProblem, n) -> ProjectionData:
     """Kernel basis, Gram matrix and factor at truncation n (or INF).
 
     The basis is taken at min(n, width) columns, so the cost does not grow
-    with n. Raises BelowMinN for finite n below n_min and NotSPD if the
-    projection fails to be onto at this n (excluded for n >= n_min by
-    validation).
+    with n. Raises BelowMinN for finite n below n_min, RankDeficient when
+    the truncated constraints lose rank at this n (a numerical dip that
+    validation cannot exclude between n_min and the width), and NotSPD if
+    the projection fails to be onto at this n.
     """
     problem = validated.problem
     width = problem.width
@@ -68,7 +67,11 @@ def build_projection(
         if n < validated.n_min:
             raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
         width = min(n, width)
-    basis = numlin.kernel_onb(truncated_matrix(problem, width), tol)
+    basis = numlin.kernel_onb(truncated_matrix(problem, width))
+    if basis.shape[1] > width - problem.m:
+        raise RankDeficient(
+            f"N = {n}: the truncated constraints have rank < {problem.m}"
+        )
     m_top = basis[: problem.k, :]
     g = m_top @ m_top.T
     g = 0.5 * (g + g.T)
@@ -97,20 +100,7 @@ def preimage_norm_sq(pd: ProjectionData, x) -> float:
     return float(v @ v)
 
 
-def push_coordinates(pd: ProjectionData, x0, y) -> np.ndarray:
-    """Change of variables x = x0 + C y with C the Gram factor.
-
-    By construction preimage_norm_sq(pd, x - x0) equals |y|^2, which turns
-    the disintegration weight into a radial function of y.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return x0 + y @ pd.chol.T
-
-
-def kernel_projection_norm_sq(
-    validated: ValidatedProblem, t, tol: float = numlin.DEFAULT_TOL
-) -> float:
+def kernel_projection_norm_sq(validated: ValidatedProblem, t) -> float:
     """Squared norm of the orthogonal projection of (t, 0, 0, ...) onto the
     constraint kernel.
 
@@ -127,7 +117,7 @@ def kernel_projection_norm_sq(
     if t.size != problem.k:
         raise ValueError(f"t must have length k = {problem.k}")
     width = problem.width
-    basis = numlin.kernel_onb(truncated_matrix(problem, width), tol)
+    basis = numlin.kernel_onb(truncated_matrix(problem, width))
     t_hat = np.zeros(width)
     t_hat[: t.size] = t
     coeff = basis.T @ t_hat

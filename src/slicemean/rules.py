@@ -123,15 +123,16 @@ def _christoffel_weights(u, diag, off):
     return w / w.sum()
 
 
-def sphere_directions(k: int, angular_nodes) -> tuple[np.ndarray, np.ndarray]:
+def sphere_directions(k: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions on S^(k-1) with normalized weights (sum 1), k <= 3.
 
     k = 1: the two half-lines with weight 1/2 each.
     k = 2: ``angular_nodes`` equispaced points on the circle, exact for
            trigonometric polynomials of degree < angular_nodes.
-    k = 3: Gauss-Legendre in the polar cosine times an equispaced azimuth;
-           ``angular_nodes`` is either a total budget (split evenly) or an
-           explicit (polar, azimuthal) pair.
+    k = 3: Gauss-Legendre in the polar cosine times an equispaced azimuth,
+           with side = max(4, round(sqrt(angular_nodes))) nodes each, so
+           ``angular_nodes`` is the direction budget and side^2 directions
+           are returned.
     """
     if k == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
@@ -141,11 +142,7 @@ def sphere_directions(k: int, angular_nodes) -> tuple[np.ndarray, np.ndarray]:
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
         return pts, np.full(n, 1.0 / n)
     if k == 3:
-        if isinstance(angular_nodes, (tuple, list)):
-            n_polar, n_az = int(angular_nodes[0]), int(angular_nodes[1])
-        else:
-            side = max(4, int(round(np.sqrt(int(angular_nodes)))))
-            n_polar = n_az = side
+        n_polar = n_az = max(4, int(round(np.sqrt(int(angular_nodes)))))
         c, w_polar = leggauss(n_polar)
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         sin_polar = np.sqrt(1.0 - c**2)

@@ -57,8 +57,10 @@ def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     """Slice geometry at truncation dimension n.
 
-    Raises BelowMinN for n < n_min and SliceEmpty when the sphere does not
-    reach the constraint set (n <= |center|^2).
+    Raises BelowMinN for n < n_min, SliceEmpty when the sphere does not
+    reach the constraint set (n <= |center|^2), and RankDeficient when the
+    truncated constraints lose numerical rank at an n >= n_min (see
+    ``validate``).
     """
     n = int(n)
     problem = validated.problem
@@ -70,8 +72,9 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     else:
         try:
             z0n = least_norm_center(problem, n)
-        except RankDeficient:
-            z0n = None
+        except RankDeficient as exc:
+            if n >= validated.n_min:
+                raise RankDeficient(f"N = {n}: truncated constraints have {exc}") from exc
     if z0n is not None:
         center_sq = float(z0n @ z0n)
         if n <= center_sq:

@@ -41,9 +41,6 @@ class TestFunction:
     def eval(self, x):
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.eval(x)
-
 
 def _last_axis_dot(x, t):
     x = np.asarray(x, dtype=float)

@@ -8,11 +8,11 @@ from slicemean import (
     Infeasible,
     ProjectionNotOnto,
     RankDeficient,
-    closest_point,
+    build_slice,
     kernel_onb,
     validate,
 )
-from slicemean.affine_model import INF, least_norm_center, truncated_matrix
+from slicemean.affine_model import least_norm_center, truncated_matrix
 
 
 class TestValidate:
@@ -46,7 +46,7 @@ class TestValidate:
     def test_infeasible_when_center_too_far(self):
         # the sphere of radius sqrt(N) never reaches |z0| = 2000 below the cap
         with pytest.raises(Infeasible):
-            validate(AffineProblem(q=[[0.0, 1.0]], w0=[2000.0], k=1), n_cap=10**6)
+            validate(AffineProblem(q=[[0.0, 1.0]], w0=[2000.0], k=1))
 
     def test_constraints_hold_at_center(self, fix_a3, fix_b, fix_c):
         for validated in (fix_a3, fix_b, fix_c):
@@ -56,20 +56,29 @@ class TestValidate:
 
 
 class TestClosestPoint:
+    """The closest point z0_N of the width-N truncation, as build_slice
+    carries it in ``z0n``."""
+
     def test_stabilized_for_large_n(self, fix_a3):
-        assert_allclose(closest_point(fix_a3, 100), [0.0, 3.0])
+        assert_allclose(build_slice(fix_a3, 100).z0n, [0.0, 3.0])
 
     def test_infinite(self, fix_b):
-        assert_allclose(closest_point(fix_b, INF), [0.6, 0.8], atol=1e-14)
+        # the untruncated closest point is z0; every N beyond the support
+        # width carries it unchanged
+        assert_allclose(fix_b.z0, [0.6, 0.8], atol=1e-14)
+        assert np.array_equal(build_slice(fix_b, 10**6).z0n, fix_b.z0)
 
     def test_truncation_to_one_column(self, fix_b):
         # oracle: scalar least squares on Q_1 = [3]
         z1 = least_norm_center(fix_b.problem, 1)
         assert_allclose(z1, [5.0 / 3.0], rtol=1e-14)
 
-    def test_below_min_n(self, fix_b):
+    def test_below_min_n(self, fix_c):
+        # below the support width 4 the truncated center (2/3)(1, 1, 1)
+        # exists and the sphere reaches it, but N = 3 < n_min = 5
+        assert_allclose(least_norm_center(fix_c.problem, 3), [2.0 / 3.0] * 3, rtol=1e-14)
         with pytest.raises(BelowMinN):
-            closest_point(fix_b, 3)
+            build_slice(fix_c, 3)
 
 
 class TestInvariants:

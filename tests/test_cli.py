@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from slicemean import cli
+
 BASE_CONFIG = {
     "problem": {
         "Q": {"rows": 1, "cols": 2, "entries": [3.0, 4.0]},
@@ -43,6 +45,7 @@ class TestValidateCommand:
         payload = json.loads(proc.stdout)
         assert payload["n_min"] == 4
         assert payload["z0"] == pytest.approx([0.6, 0.8])
+        assert payload["rank_checks"]["tol"] == 1e-10
 
     def test_missing_config(self):
         proc = run_cli("validate", "--config", "/nonexistent/conf.json")
@@ -62,6 +65,33 @@ class TestValidateCommand:
         assert proc.returncode == 2
 
 
+#: (subcommand, flag) pairs the subcommand does not read, so does not take
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in {
+        "validate": ["--threads", "--seed", "--csv", "--svg", "--timing"],
+        "slice": ["--csv", "--svg", "--timing"],
+        "limit": ["--threads", "--csv", "--svg", "--timing"],
+        "verify": ["--svg", "--timing"],
+        "counterexample": ["--threads", "--seed", "--svg", "--timing"],
+    }.items()
+    for flag in flags
+]
+FLAG_VALUES = {"--threads": ["2"], "--seed": ["1"], "--csv": ["x.csv"], "--svg": ["x.svg"]}
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = [command, "--config", write_config(tmp_path), flag, *FLAG_VALUES.get(flag, [])]
+    if command == "slice":
+        argv += ["--n", "64"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.svg").exists()
+
+
 class TestSliceAndLimit:
     def test_slice(self, tmp_path):
         proc = run_cli("slice", "--n", "64", "--config", write_config(tmp_path))
@@ -70,6 +100,18 @@ class TestSliceAndLimit:
         assert payload["N"] == 64
         assert payload["a_z"] == pytest.approx(63.0**0.5)
         assert payload["quad_value"] == pytest.approx(payload["limit_value"], abs=0.05)
+
+    def test_angular_node_pair_is_a_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, quad={"radial_nodes": 64, "angular_nodes": [12, 16]})
+        proc = run_cli("slice", "--n", "64", "--config", cfg)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+
+    def test_rank_dip_fails_closed(self, tmp_path, rank_dip):
+        problem = {"Q": rank_dip.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}
+        proc = run_cli("slice", "--n", "6", "--config", write_config(tmp_path, problem=problem))
+        assert proc.returncode == 2
+        assert "rank" in proc.stderr
 
     def test_slice_at_a_million(self, tmp_path):
         proc = run_cli("slice", "--n", "1000000", "--config", write_config(tmp_path))
@@ -160,6 +202,16 @@ class TestSweepCommand:
         assert proc2.returncode == 0
         assert "empty slice" in proc2.stderr
         assert len(out_csv.read_text().strip().split("\n")) == 2
+
+    def test_rank_dip_row_skipped(self, tmp_path, rank_dip):
+        problem = {"Q": rank_dip.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}
+        cfg = write_config(tmp_path, problem=problem, schedule=[5, 6, 7, 8])
+        out_csv = tmp_path / "dip.csv"
+        proc = run_cli("sweep", "--config", cfg, "--csv", str(out_csv))
+        assert proc.returncode == 0
+        assert "N=6: skipped" in proc.stderr
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [5, 7, 8]
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

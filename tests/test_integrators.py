@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import dataclasses
 import numpy as np
@@ -10,7 +11,6 @@ from slicemean import (
     AffineProblem,
     CosLinear,
     CounterexampleG,
-    GaussHermite,
     InadmissibleFunction,
     McConfig,
     Monomial,
@@ -28,7 +28,7 @@ from slicemean import (
     validate,
 )
 from slicemean.affine_model import truncated_matrix
-from slicemean.integrators import _gaussian_mc, _quad_pass
+from slicemean.integrators import _gaussian_mc, _quad_pass, _shard_rng
 
 
 def _full_basis_mc(validated, geom, phi, n_samples, seed):
@@ -80,10 +80,6 @@ class TestQuadrature:
         # coordinate second moment on the slice sphere: a^2/(N-1)
         x2 = slice_mean_quadrature(geom, Monomial(alpha=(2, 0, 0)))
         assert_allclose(x2.value, (32.0 - 1.0) / 31.0, rtol=1e-10)
-        # explicit polar x azimuthal node counts give the same answer
-        cfg = QuadConfig(radial_nodes=64, angular_nodes=(12, 16))
-        x2_pair = slice_mean_quadrature(geom, Monomial(alpha=(2, 0, 0)), cfg)
-        assert_allclose(x2_pair.value, x2.value, rtol=1e-10)
 
     def test_refinement_reuses_fine_pass(self):
         # halving a refinement's doubled node counts gives the previous fine
@@ -144,6 +140,9 @@ class TestQuadrature:
             QuadConfig(radial_nodes=4)
         with pytest.raises(ValueError):
             QuadConfig(target_rel_err=0.5)
+        # the direction count is one int (the k = 3 budget), never a pair
+        with pytest.raises(TypeError):
+            QuadConfig(angular_nodes=(12, 16))
 
 
 class TestMonteCarlo:
@@ -234,7 +233,7 @@ class TestGaussianLimit:
 
     def test_matches_known_limit(self, fix_c):
         fn = SinLinear(t=[0.7, 0.2])
-        res = gaussian_limit(fix_c, fn, GaussHermite(48))
+        res = gaussian_limit(fix_c, fn)
         assert_allclose(res.value, known_limit(fn, fix_c), rtol=1e-11)
 
     def test_mc_route(self, fix_b):
@@ -245,12 +244,12 @@ class TestGaussianLimit:
 
     def test_gh_refuses_counterexample(self, fix_a0):
         with pytest.raises(InadmissibleFunction):
-            gaussian_limit(fix_a0, CounterexampleG(), GaussHermite(32))
+            gaussian_limit(fix_a0, CounterexampleG())
 
     def test_gh_refuses_high_dimension(self):
         validated = validate(AffineProblem(q=[[0.0] * 4 + [1.0]], w0=[0.0], k=4))
         with pytest.raises(UnsupportedDimension):
-            gaussian_limit(validated, Monomial(alpha=(0,) * 4), GaussHermite(16))
+            gaussian_limit(validated, Monomial(alpha=(0,) * 4))
 
     def test_divergence_detector_fires(self):
         # non-integrable case: variance 4 makes E[g(X)] infinite for the
@@ -261,6 +260,37 @@ class TestGaussianLimit:
             mu, chol, CounterexampleG(), McConfig(2_000_000, seed=0, shard_size=2048)
         )
         assert res.diverged
+
+    def test_gh_uses_64_nodes_checked_against_32(self, fix_b):
+        res = gaussian_limit(fix_b, Monomial(alpha=(4,)))
+        assert res.n_evals == 64 + 32
+        # E[X^4] for X ~ N(0.6, 0.64): mu^4 + 6 mu^2 s^2 + 3 s^4
+        assert_allclose(res.value, 0.6**4 + 6 * 0.36 * 0.64 + 3 * 0.64**2, rtol=1e-13)
+
+    def test_mc_shard_drawn_whole_when_it_fits(self, fix_b):
+        # a shard within one chunk is one draw of shard_size normals,
+        # summed at once: the stream and sums of a single-draw sampler
+        fn = CosLinear(t=[1.0])
+        res = gaussian_limit(fix_b, fn, McConfig(50_000, seed=3, shard_size=8192))
+        total = 0.0
+        for i, size in enumerate([8192] * 6 + [50_000 - 6 * 8192]):
+            g = _shard_rng(3, i).standard_normal((size, 1))
+            total += float(fn.eval(fix_b.z0_cyl + g @ np.array([[0.8]]).T).sum())
+        assert res.value == total / 50_000
+
+    def test_mc_peak_memory_does_not_grow_with_shard_size(self, fix_b):
+        # shards are drawn in chunks of at most 2^22 numbers, so a 2^23
+        # sample shard (k = 1) peaks near a 2^21 one
+        fn = CosLinear(t=[1.0])
+        peaks = []
+        for size in (1 << 21, 1 << 23):
+            tracemalloc.start()
+            try:
+                gaussian_limit(fix_b, fn, McConfig(size, seed=1, shard_size=size))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_integrable_case_does_not_fire(self, fix_b):
         res = gaussian_limit(

@@ -53,7 +53,7 @@ def test_kernel_basis_properties(rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((rows, cols))
     tol = 1e-10
-    basis = kernel_onb(m, tol)
+    basis = kernel_onb(m)
     scale = np.abs(m).max()
     assert basis.shape[1] >= cols - rows
     if basis.size:

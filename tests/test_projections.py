@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from slicemean import (
     BelowMinN,
+    RankDeficient,
     build_projection,
     kernel_onb,
     kernel_projection_norm_sq,
     preimage_norm_sq,
-    push_coordinates,
 )
 from slicemean.affine_model import INF, truncated_matrix
 from slicemean.harness import random_validated
@@ -52,6 +52,14 @@ class TestBuildProjection:
         with pytest.raises(BelowMinN):
             build_projection(fix_b, 3)
 
+    def test_rank_dip_raises(self, rank_dip):
+        # at N = 6 the truncated rows are numerically dependent, so the
+        # kernel has 5 columns where two constraints leave 4
+        with pytest.raises(RankDeficient):
+            build_projection(rank_dip, 6)
+        for n in (5, 7, 8):
+            assert build_projection(rank_dip, n).kernel_basis.shape[1] == min(n, 7) - 2
+
     def test_logdet_matches_det(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -77,25 +85,16 @@ class TestPreimageNormSq:
 
 
 class TestPushCoordinates:
-    def test_zero_offset(self, fix_b):
-        pd = build_projection(fix_b, INF)
-        assert_allclose(push_coordinates(pd, [0.6], [0.0]), [0.6])
-
-    def test_scalar_factor(self, fix_b):
-        pd = build_projection(fix_b, INF)
-        assert_allclose(push_coordinates(pd, [0.6], [1.0]), [1.4], rtol=1e-14)
-
-    def test_identity_factor(self, fix_a0):
-        pd = build_projection(fix_a0, 8)
-        assert_allclose(push_coordinates(pd, [0.0], [2.0]), [2.0], rtol=1e-14)
+    """The whitening x = x0 + C y that every evaluator computes inline."""
 
     def test_norm_compatibility(self, fix_c):
         pd = build_projection(fix_c, INF)
         rng = np.random.default_rng(0)
+        x0 = fix_c.z0_cyl
         for _ in range(20):
             y = rng.standard_normal(2)
-            x = push_coordinates(pd, np.zeros(2), y)
-            assert_allclose(preimage_norm_sq(pd, x), y @ y, rtol=1e-10)
+            x = x0 + y @ pd.chol.T
+            assert_allclose(preimage_norm_sq(pd, x - x0), y @ y, rtol=1e-10)
 
 
 class TestKernelProjection:

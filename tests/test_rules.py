@@ -91,9 +91,11 @@ class TestSphereDirections:
         assert_allclose(w @ (pts[:, 0] * pts[:, 1]), 0.0, atol=1e-16)
         assert_allclose(w @ pts[:, 0] ** 2, 0.5, rtol=1e-13)
 
-    @pytest.mark.parametrize("spec", [64, (8, 8), [6, 10]])
-    def test_k3_moments(self, spec):
-        pts, w = sphere_directions(3, spec)
+    @pytest.mark.parametrize("budget", [36, 64, 100])
+    def test_k3_moments(self, budget):
+        pts, w = sphere_directions(3, budget)
+        # a budget b gives round(sqrt(b))^2 directions
+        assert len(w) == budget
         assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=1e-13)
         assert_allclose(w.sum(), 1.0, rtol=1e-13)
         assert_allclose(w @ pts, 0.0, atol=1e-15)

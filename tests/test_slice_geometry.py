@@ -8,6 +8,7 @@ from slicemean import (
     BelowMinN,
     Monomial,
     QuadConfig,
+    RankDeficient,
     SliceEmpty,
     build_slice,
     slice_mean_quadrature,
@@ -31,6 +32,14 @@ class TestBuildSlice:
     def test_below_min_n(self, fix_b):
         with pytest.raises(BelowMinN):
             build_slice(fix_b, 3)
+
+    def test_rank_dip_above_n_min(self, rank_dip):
+        # validate's n_min is 5, yet the rows lose numerical rank at N = 6
+        assert rank_dip.n_min == 5
+        with pytest.raises(RankDeficient):
+            build_slice(rank_dip, 6)
+        for n in (5, 7, 8):
+            assert build_slice(rank_dip, n).n == n
 
     def test_exponent(self, fix_b):
         geom = build_slice(fix_b, 100)
