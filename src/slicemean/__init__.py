@@ -33,7 +33,6 @@ from .integrators import (
 )
 from .numlin import (
     kernel_onb,
-    least_norm_solution,
     log_surface_constant,
 )
 from .projections import (
@@ -90,7 +89,6 @@ __all__ = [
     "kernel_onb",
     "kernel_projection_norm_sq",
     "known_limit",
-    "least_norm_solution",
     "log_surface_constant",
     "preimage_norm_sq",
     "slice_mean_mc",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numlin
-from .errors import Infeasible, ProjectionNotOnto, RankDeficient
+from .errors import Infeasible, ProjectionNotOnto
 
 #: Sentinel for "no truncation": the stabilized infinite-dimensional object.
 INF = math.inf
@@ -73,8 +73,8 @@ class ValidatedProblem:
 
     z0 is the closest point to the origin on the constraint set, zero-padded
     to the stabilization width; n_min is the smallest truncation dimension at
-    which every per-N requirement holds (see ``validate`` for the one way it
-    can fail again above n_min).
+    which every per-N requirement holds (see ``validate`` for how a rank
+    decision can fail again above n_min).
     """
 
     problem: AffineProblem
@@ -110,72 +110,63 @@ def least_norm_center(problem: AffineProblem, n: int) -> np.ndarray:
     """Closest point to the origin on the width-n truncated constraint set.
 
     Valid for any n at which the truncated matrix still has full row rank,
-    including n below n_min; used by the n_min search, by build_slice below
-    the support width and by diagnostics of the pre-stabilization regime.
+    including n below n_min; used by build_slice below the support width
+    and by diagnostics of the pre-stabilization regime. Raises RankDeficient
+    otherwise.
     """
-    return numlin.least_norm_solution(truncated_matrix(problem, n), problem.w0)
-
-
-def _projection_onto_rank(problem: AffineProblem, n: int) -> bool:
-    # The first-k projection of ker Q_n covers R^k iff the k coordinate rows
-    # are independent of the rows of Q_n, i.e. the stacked matrix has rank m+k.
-    k = problem.k
-    if n - problem.m < k:
-        return False
-    stacked = np.vstack([truncated_matrix(problem, n), np.eye(k, n)])
-    return numlin.matrix_rank(stacked) == problem.m + k
+    qr = numlin.StackedQR(truncated_matrix(problem, n), problem.k)
+    qr.require_rank()
+    return qr.center(problem.w0)
 
 
 def validate(problem: AffineProblem) -> ValidatedProblem:
     """Check the standing hypotheses and precompute z0 and n_min.
 
-    Verifies that Q has full row rank (the constraints are independent) and
-    that the first-k-coordinates projection restricted to ker Q is onto R^k,
-    the latter as a rank-k check on the k-row submatrix of a kernel basis at
-    the stabilization width. Every rank decision uses the one cutoff of
-    ``numlin``, which ``rank_checks["tol"]`` reports. Then finds the
-    smallest N such that
+    Every decision is read off one thin QR of [Q_N^T | E_k^T]
+    (``numlin.StackedQR``, E_k the first k coordinate rows) with the one
+    cutoff of ``numlin``, which ``rank_checks["tol"]`` reports. At the
+    stabilization width, Q must have full row rank (else RankDeficient) and
+    the stacked [Q; E_k] rank m + k, i.e. ker Q projects onto R^k (else
+    ProjectionNotOnto). Then finds the smallest N such that
 
-      * the truncated constraints still have rank m,
-      * the truncated kernel still projects onto R^k,
+      * the stacked rank rule holds at N (it implies full row rank of Q_N),
       * N >= k + m + 2 (keeps the disintegration weight exponent >= 1/2),
       * N exceeds the squared norm of the truncated closest point
         (the slice sphere has positive radius).
 
+    ``rank_checks["rank_margin"]`` is the stacked sigma_(m+k) / sigma_1 at
+    min(n_min, width): how far the accepted truncation sits above the cutoff.
+
     In exact arithmetic each condition is monotone in N, so all would hold
-    for every N >= n_min. In floating point the numerical rank of a
-    truncation can dip below m at some N between n_min and the support
-    width (rows that are nearly dependent on their first N columns only);
-    build_slice and build_projection raise RankDeficient at such an N.
-    From the support width on, every condition holds.
+    for every N >= n_min. In floating point either ratio of a truncation
+    can dip below the cutoff at some N between n_min and the support width
+    (rows that are nearly dependent on their first N columns only);
+    build_slice and build_projection raise RankDeficient or NotSPD at such
+    an N. From the support width on, every condition holds.
 
     Raises RankDeficient, ProjectionNotOnto, or Infeasible (no N <=
     DEFAULT_N_CAP).
     """
     m, k, w = problem.m, problem.k, problem.width
-    q_w = truncated_matrix(problem, w)
-    if numlin.matrix_rank(q_w) < m:
-        raise RankDeficient(f"constraint matrix has rank < {m}")
-    basis = numlin.kernel_onb(q_w)
-    if numlin.matrix_rank(basis[:k, :]) < k:
+    qr = numlin.StackedQR(truncated_matrix(problem, w), k)
+    margin = qr.margin
+    if margin <= numlin.DEFAULT_TOL:
+        qr.require_rank()
         raise ProjectionNotOnto(
             "kernel of the constraints does not project onto the first "
             f"{k} coordinate(s)"
         )
-
-    z0 = np.zeros(w)
-    z0_small = numlin.least_norm_solution(q_w, problem.w0)
-    z0[: z0_small.size] = z0_small
+    z0 = qr.center(problem.w0)
 
     n_min = None
     for n in range(k + m + 2, w + 1):
-        if numlin.matrix_rank(truncated_matrix(problem, n)) < m:
+        qr = numlin.StackedQR(truncated_matrix(problem, n), k)
+        ratio = qr.margin
+        if ratio <= numlin.DEFAULT_TOL:
             continue
-        if not _projection_onto_rank(problem, n):
-            continue
-        zn = least_norm_center(problem, n)
+        zn = qr.center(problem.w0)
         if n > float(zn @ zn):
-            n_min = n
+            n_min, margin = n, ratio
             break
     if n_min is None:
         # Beyond the stabilization width only the radius condition can bind.
@@ -192,5 +183,6 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
         "n_min": n_min,
         "z0_norm_sq": float(z0 @ z0),
         "tol": numlin.DEFAULT_TOL,
+        "rank_margin": margin,
     }
     return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, rank_checks=checks)

@@ -1,9 +1,10 @@
 """Small dense linear algebra and log-domain special functions.
 
-Everything here is a pure function of its arguments. Matrices are plain
-2-D float64 ``numpy.ndarray`` objects in row-major layout; vectors are 1-D
-arrays. Every rank decision uses one relative singular-value cutoff,
-DEFAULT_TOL; callers never pass their own.
+Matrices are plain 2-D float64 ``numpy.ndarray`` objects in row-major
+layout; vectors are 1-D arrays. Every rank decision is taken on the
+triangle of one thin QR, ``StackedQR``, with one relative singular-value
+cutoff, DEFAULT_TOL; callers never pass their own. ``kernel_onb`` (a full
+SVD) is kept as the independent reference that the checks compare against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import NotSPD, RankDeficient
+from .errors import RankDeficient
 
 #: The one relative rank cutoff: singular values below DEFAULT_TOL times the
 #: largest singular value count as zero.
@@ -51,42 +52,49 @@ def kernel_onb(m: np.ndarray) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
-def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank at the relative cutoff DEFAULT_TOL."""
-    s = scipy.linalg.svd(np.atleast_2d(np.asarray(m, dtype=float)), compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > DEFAULT_TOL * s[0]))
-
-
-def least_norm_solution(m: np.ndarray, w) -> np.ndarray:
-    """Minimal-Euclidean-norm solution x of m @ x = w.
-
-    Equals m.T @ inv(m @ m.T) @ w for full row rank; computed through the
-    SVD so near-degenerate rows are detected rather than amplified.
-
-    Raises RankDeficient when the numerical row rank of ``m`` is below the
-    number of rows.
+class StackedQR:
+    """Thin Householder QR [q^T | E_k^T] = U R of an m x n constraint block q
+    and the first k coordinate rows E_k (Golub & Van Loan, *Matrix
+    Computations*, 5.2). Split R = [[R11, R12], [0, R22]] after row and
+    column m. R11 has the singular values of q and R those of [q; E_k], so
+    ker q projects onto R^k iff R has rank m + k. The minimal-norm solution
+    of q x = w is U1 R11^-T w. The leading k x k block of the projector onto
+    ker q is G = R22^T R22, so R22^T with its column signs fixed is G's
+    Cholesky factor, obtained without squaring the condition number. QR is
+    backward stable, so a block has full rank iff its sigma_min / sigma_max
+    exceeds DEFAULT_TOL, as for the matrices R stands for.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    w = np.asarray(w, dtype=float).reshape(-1)
-    nrows = m.shape[0]
-    if w.size != nrows:
-        raise ValueError(f"rhs length {w.size} does not match {nrows} rows")
-    u, s, vh = scipy.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 0.0)))
-    if rank < nrows:
-        raise RankDeficient(f"row rank {rank} < {nrows} at tol {DEFAULT_TOL:g}")
-    return vh.T @ ((u.T @ w) / s)
+
+    def __init__(self, q: np.ndarray, k: int):
+        self.m = q.shape[0]
+        self.u, self.r = np.linalg.qr(np.hstack([q.T, np.eye(q.shape[1], k)]))
+
+    @property
+    def margin(self) -> float:
+        """sigma_(m+k) / sigma_1 of [q; E_k]. By interlacing it is at most
+        sigma_m / sigma_1 of q, so margin > DEFAULT_TOL implies full row rank."""
+        return _singular_ratio(self.r)
+
+    def require_rank(self):
+        """Raise RankDeficient unless q has full row rank."""
+        if _singular_ratio(self.r[: self.m, : self.m]) <= DEFAULT_TOL:
+            raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
+
+    def center(self, w) -> np.ndarray:
+        """Minimal-norm solution of q x = w; q must have full row rank."""
+        y = scipy.linalg.solve_triangular(self.r[: self.m, : self.m], w, trans="T", check_finite=False)
+        return self.u[:, : self.m] @ y
+
+    def gram_factor(self) -> np.ndarray:
+        """Lower-triangular C with positive diagonal and C C^T = G; needs margin > 0."""
+        r22 = self.r[self.m :, self.m :]
+        return r22.T * np.sign(np.diag(r22))
 
 
-def cholesky_spd(g: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor C with C @ C.T = g, raising NotSPD on failure."""
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    try:
-        return scipy.linalg.cholesky(0.5 * (g + g.T), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPD(str(exc)) from exc
+def _singular_ratio(r: np.ndarray) -> float:
+    # sigma_min / sigma_max; 0 for a zero block or a wide one (fewer rows)
+    s = np.linalg.svd(r, compute_uv=False)
+    return float(s[-1] / s[0]) if s.size == r.shape[1] and s[0] > 0 else 0.0
 
 
 def log_surface_constant(j: int) -> float:

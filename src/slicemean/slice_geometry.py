@@ -72,9 +72,9 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     else:
         try:
             z0n = least_norm_center(problem, n)
-        except RankDeficient as exc:
+        except RankDeficient:
             if n >= validated.n_min:
-                raise RankDeficient(f"N = {n}: truncated constraints have {exc}") from exc
+                raise
     if z0n is not None:
         center_sq = float(z0n @ z0n)
         if n <= center_sq:

@@ -42,3 +42,20 @@ def rank_dip():
     r1 = np.array([1.0, 0.5, -0.3, 0.8, 0.2, 50.0, 0.0])
     r2 = r1 + 6e-10 * np.array([0.3, -1.0, 0.5, 0.2, 0.7, 0.0, 0.0]) + np.eye(7)[6]
     return validate(AffineProblem(q=np.vstack([r1, r2]), w0=np.array([0.1, 0.1]), k=1))
+
+
+@pytest.fixture(scope="session")
+def onto_dip():
+    """Two constraint rows whose truncation keeps rank 2 at every N, while
+    the first coordinate row falls into their span at N = 6 only:
+    q1 = e1 + 6e-10 (0, 0.3, -1, 0.5, 0.7, 0, 0) + e7,
+    q2 = (0.3, 0.2, 0.5, 0.1, 0.4, 50, 0); w0 = (0.1, 0.1), k = 1.
+
+    validate gives n_min 5 and width 7. At N = 6 the stacked matrix
+    [Q_6; e1] has sigma_3 / sigma_1 = 1.1e-11 < 1e-10, so the kernel does
+    not project onto R^1 there; N = 5 and N >= 7 are onto.
+    """
+    e = np.eye(7)
+    q1 = e[0] + 6e-10 * np.array([0.0, 0.3, -1.0, 0.5, 0.7, 0.0, 0.0]) + e[6]
+    q2 = np.array([0.3, 0.2, 0.5, 0.1, 0.4, 50.0, 0.0])
+    return validate(AffineProblem(q=np.vstack([q1, q2]), w0=np.array([0.1, 0.1]), k=1))

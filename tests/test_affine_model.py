@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +56,35 @@ class TestValidate:
             problem = validated.problem
             residual = problem.q @ validated.z0[: problem.s] - problem.w0
             assert np.abs(residual).max() < 1e-12
+
+
+    def test_rank_margin(self, fix_a3, fix_b, rank_dip):
+        # sigma_(m+k) / sigma_1 of [Q_N; E_k] at N = min(n_min, width)
+        assert fix_a3.rank_checks["rank_margin"] == pytest.approx(1.0, rel=1e-14)
+        assert fix_b.rank_checks["rank_margin"] == pytest.approx(0.15767078, rel=1e-6)
+        # the rank-dip problem is accepted only just above the 1e-10 cutoff
+        assert rank_dip.rank_checks["rank_margin"] == pytest.approx(2.55e-10, rel=0.1)
+
+
+def test_wide_support():
+    # m = 3, k = 2 at support width 10^4: no step may build a width x width
+    # array (one 10^4 x 10^4 float64 SVD factor alone is 800 MB)
+    rng = np.random.default_rng(0)
+    problem = AffineProblem(
+        q=rng.standard_normal((3, 10**4)), w0=0.5 * rng.standard_normal(3), k=2
+    )
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        validated = validate(problem)
+        geom = build_slice(validated, 10**6)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert geom.pd.g.shape == (2, 2)
+    assert elapsed < 0.5
+    assert peak < 20e6
 
 
 class TestClosestPoint:

@@ -46,6 +46,8 @@ class TestValidateCommand:
         assert payload["n_min"] == 4
         assert payload["z0"] == pytest.approx([0.6, 0.8])
         assert payload["rank_checks"]["tol"] == 1e-10
+        # sigma_2 / sigma_1 of [[3, 4], [1, 0]]
+        assert payload["rank_checks"]["rank_margin"] == pytest.approx(0.15767078, rel=1e-6)
 
     def test_missing_config(self):
         proc = run_cli("validate", "--config", "/nonexistent/conf.json")
@@ -210,6 +212,17 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--config", cfg, "--csv", str(out_csv))
         assert proc.returncode == 0
         assert "N=6: skipped" in proc.stderr
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [5, 7, 8]
+
+    def test_onto_dip_row_skipped(self, tmp_path, onto_dip):
+        problem = {"Q": onto_dip.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}
+        cfg = write_config(tmp_path, problem=problem, schedule=[5, 6, 7, 8])
+        out_csv = tmp_path / "dip.csv"
+        proc = run_cli("sweep", "--config", cfg, "--csv", str(out_csv))
+        assert proc.returncode == 0
+        assert "N=6: skipped" in proc.stderr
+        assert "does not project onto" in proc.stderr
         rows = out_csv.read_text().strip().split("\n")[1:]
         assert [int(row.split(",")[0]) for row in rows] == [5, 7, 8]
 

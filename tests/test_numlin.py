@@ -8,13 +8,18 @@ from numpy.testing import assert_allclose
 from scipy.special import gamma
 
 from slicemean import (
-    NotSPD,
+    AffineProblem,
     RankDeficient,
     kernel_onb,
-    least_norm_solution,
     log_surface_constant,
 )
-from slicemean.numlin import cholesky_spd
+from slicemean.affine_model import least_norm_center
+
+
+def least_norm(q, w):
+    """Minimal-norm solution of q x = w, through least_norm_center at q's width."""
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    return least_norm_center(AffineProblem(q=q, w0=w, k=1), q.shape[1])
 
 
 class TestKernelOnb:
@@ -71,7 +76,7 @@ def test_least_norm_orthogonal_to_kernel(rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((rows, cols))
     w = rng.standard_normal(rows)
-    x = least_norm_solution(m, w)
+    x = least_norm(m, w)
     assert_allclose(m @ x, w, atol=1e-10)
     basis = kernel_onb(m)
     # minimal-norm solutions carry no kernel component
@@ -80,26 +85,17 @@ def test_least_norm_orthogonal_to_kernel(rows, cols, seed):
 
 class TestLeastNorm:
     def test_single_coordinate(self):
-        assert_allclose(least_norm_solution([[0.0, 1.0]], [5.0]), [0.0, 5.0], atol=1e-14)
+        assert_allclose(least_norm([[0.0, 1.0]], [5.0]), [0.0, 5.0], atol=1e-14)
 
     def test_oblique(self):
         # oracle: normal equations M M^T lam = w by hand; M M^T = 25, lam = 0.2
-        x = least_norm_solution([[3.0, 4.0]], [5.0])
+        x = least_norm([[3.0, 4.0]], [5.0])
         assert_allclose(x, [0.6, 0.8], atol=1e-14)
         assert abs(np.linalg.norm(x) - 1.0) < 1e-14
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
-            least_norm_solution([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
-
-
-class TestCholeskySpd:
-    def test_scalar(self):
-        assert_allclose(cholesky_spd([[0.64]]), [[0.8]], rtol=1e-15)
-
-    def test_indefinite(self):
-        with pytest.raises(NotSPD):
-            cholesky_spd([[0.0, 1.0], [1.0, 0.0]])
+            least_norm([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
 class TestLogSurfaceConstant:

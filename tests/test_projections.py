@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from slicemean import (
     BelowMinN,
+    NotSPD,
     RankDeficient,
     build_projection,
     kernel_onb,
@@ -60,6 +62,15 @@ class TestBuildProjection:
         for n in (5, 7, 8):
             assert build_projection(rank_dip, n).kernel_basis.shape[1] == min(n, 7) - 2
 
+    def test_onto_dip_raises(self, onto_dip):
+        # at N = 6 the rows keep rank 2, but e1 lies in their span at the
+        # cutoff: G is 6.6e-19 there, and the factor must not be built
+        assert onto_dip.n_min == 5
+        with pytest.raises(NotSPD):
+            build_projection(onto_dip, 6)
+        for n in (5, 7, 8):
+            assert build_projection(onto_dip, n).chol[0, 0] > 0.0
+
     def test_logdet_matches_det(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -68,6 +79,42 @@ class TestBuildProjection:
             assert_allclose(
                 math.exp(2.0 * pd.log_det_l0), np.linalg.det(pd.g), rtol=1e-10
             )
+
+
+def _svd_n_min(problem):
+    # validate's n_min scan with every decision taken by SVD and the center
+    # by scipy's lstsq, as a reference for the QR path
+    m, k, w = problem.m, problem.k, problem.width
+    for n in range(k + m + 2, w + 1):
+        q_n = truncated_matrix(problem, n)
+        s = scipy.linalg.svdvals(np.vstack([q_n, np.eye(k, n)]))
+        if s[-1] <= 1e-10 * s[0]:
+            continue
+        zn = scipy.linalg.lstsq(q_n, problem.w0)[0]
+        if n > zn @ zn:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("s", [8, 20, 50])
+def test_qr_path_matches_svd_reference(s):
+    rng = np.random.default_rng(s)
+    for _ in range(100):
+        validated = random_validated(rng, s)
+        problem = validated.problem
+        ref_n_min = _svd_n_min(problem)
+        if ref_n_min is not None:
+            assert validated.n_min == ref_n_min
+        else:
+            assert validated.n_min > problem.width
+        q_w = truncated_matrix(problem, problem.width)
+        z0 = scipy.linalg.lstsq(q_w, problem.w0)[0]
+        assert_allclose(validated.z0, z0, rtol=0, atol=1e-14)
+        mid = max(validated.n_min, (validated.n_min + problem.width) // 2)
+        for n in (validated.n_min, mid, INF):
+            m_top = kernel_onb(truncated_matrix(problem, min(n, problem.width)))[: problem.k]
+            pd = build_projection(validated, n)
+            assert_allclose(pd.g, m_top @ m_top.T, rtol=0, atol=1e-14)
 
 
 class TestPreimageNormSq:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from slicemean import (
     BelowMinN,
     Monomial,
+    NotSPD,
     QuadConfig,
     RankDeficient,
     SliceEmpty,
@@ -40,6 +41,13 @@ class TestBuildSlice:
             build_slice(rank_dip, 6)
         for n in (5, 7, 8):
             assert build_slice(rank_dip, n).n == n
+
+    def test_onto_dip_above_n_min(self, onto_dip):
+        # the rows keep rank 2 at N = 6, but their kernel is not onto R^1
+        with pytest.raises(NotSPD):
+            build_slice(onto_dip, 6)
+        for n in (5, 7, 8):
+            assert build_slice(onto_dip, n).n == n
 
     def test_exponent(self, fix_b):
         geom = build_slice(fix_b, 100)
