@@ -4,7 +4,6 @@ quadrature, Monte Carlo on the slice sphere, and the limiting Gaussian
 integral the slice means converge to."""
 
 from .affine_model import (
-    INF,
     AffineProblem,
     ValidatedProblem,
     validate,
@@ -15,7 +14,6 @@ from .errors import (
     InadmissibleFunction,
     Infeasible,
     NonFinite,
-    NotSPD,
     ProjectionNotOnto,
     RankDeficient,
     SliceEmpty,
@@ -36,8 +34,6 @@ from .numlin import (
     log_surface_constant,
 )
 from .projections import (
-    ProjectionData,
-    build_projection,
     kernel_projection_norm_sq,
     preimage_norm_sq,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "ConfigError",
     "CosLinear",
     "CounterexampleG",
-    "INF",
     "InadmissibleFunction",
     "Infeasible",
     "IndicatorBall",
@@ -70,8 +65,6 @@ __all__ = [
     "McConfig",
     "Monomial",
     "NonFinite",
-    "NotSPD",
-    "ProjectionData",
     "ProjectionNotOnto",
     "QuadConfig",
     "RankDeficient",
@@ -82,7 +75,6 @@ __all__ = [
     "TestFunction",
     "UnsupportedDimension",
     "ValidatedProblem",
-    "build_projection",
     "build_slice",
     "counterexample_probe",
     "gaussian_limit",

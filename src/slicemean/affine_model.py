@@ -12,15 +12,13 @@ the first N columns of Q, padding with zero columns for N > s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numlin
-from .errors import Infeasible, ProjectionNotOnto
-
-#: Sentinel for "no truncation": the stabilized infinite-dimensional object.
-INF = math.inf
+from .errors import Infeasible
 
 #: Largest truncation dimension tried when searching for n_min.
 DEFAULT_N_CAP = 10**6
@@ -43,6 +41,8 @@ class AffineProblem:
             raise ValueError("Q and w0 entries must be finite")
         if w0.size != q.shape[0]:
             raise ValueError(f"w0 length {w0.size} != {q.shape[0]} constraint rows")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"cylinder dimension k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("cylinder dimension k must be >= 1")
         q = q.copy()
@@ -74,13 +74,20 @@ class ValidatedProblem:
     z0 is the closest point to the origin on the constraint set, zero-padded
     to the stabilization width; n_min is the smallest truncation dimension at
     which every per-N requirement holds (see ``validate`` for how a rank
-    decision can fail again above n_min).
+    decision can fail again above n_min). ``chol`` is the read-only
+    lower-triangular Cholesky factor, with positive diagonal, of the Gram
+    matrix G at the width: the covariance of the limiting Gaussian, and the
+    per-N factor for every N >= width.
     """
 
     problem: AffineProblem
     z0: np.ndarray
     n_min: int
+    chol: np.ndarray = field(repr=False)
     rank_checks: dict = field(repr=False)
+
+    def __post_init__(self):
+        self.chol.flags.writeable = False
 
     @property
     def k(self) -> int:
@@ -94,6 +101,12 @@ class ValidatedProblem:
     def z0_cyl(self) -> np.ndarray:
         """First k coordinates of z0: the mean of the limiting Gaussian."""
         return self.z0[: self.k]
+
+    @property
+    def g(self) -> np.ndarray:
+        """The stabilized Gram matrix G = chol chol^T, symmetrized."""
+        g = self.chol @ self.chol.T
+        return 0.5 * (g + g.T)
 
 
 def truncated_matrix(problem: AffineProblem, n: int) -> np.ndarray:
@@ -110,9 +123,8 @@ def least_norm_center(problem: AffineProblem, n: int) -> np.ndarray:
     """Closest point to the origin on the width-n truncated constraint set.
 
     Valid for any n at which the truncated matrix still has full row rank,
-    including n below n_min; used by build_slice below the support width
-    and by diagnostics of the pre-stabilization regime. Raises RankDeficient
-    otherwise.
+    including n below n_min; the verify checks' reference for the centers of
+    the pre-stabilization regime. Raises RankDeficient otherwise.
     """
     qr = numlin.StackedQR(truncated_matrix(problem, n), problem.k)
     qr.require_rank()
@@ -125,9 +137,10 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     Every decision is read off one thin QR of [Q_N^T | E_k^T]
     (``numlin.StackedQR``, E_k the first k coordinate rows) with the one
     cutoff of ``numlin``, which ``rank_checks["tol"]`` reports. At the
-    stabilization width, Q must have full row rank (else RankDeficient) and
-    the stacked [Q; E_k] rank m + k, i.e. ker Q projects onto R^k (else
-    ProjectionNotOnto). Then finds the smallest N such that
+    stabilization width, the stacked [Q; E_k] must have rank m + k: Q has
+    full row rank and ker Q projects onto R^k (else RankDeficient or
+    ProjectionNotOnto, see ``StackedQR.require_onto``). That QR also gives
+    z0 and the limit factor ``chol``. Then finds the smallest N such that
 
       * the stacked rank rule holds at N (it implies full row rank of Q_N),
       * N >= k + m + 2 (keeps the disintegration weight exponent >= 1/2),
@@ -141,22 +154,18 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     for every N >= n_min. In floating point either ratio of a truncation
     can dip below the cutoff at some N between n_min and the support width
     (rows that are nearly dependent on their first N columns only);
-    build_slice and build_projection raise RankDeficient or NotSPD at such
-    an N. From the support width on, every condition holds.
+    build_slice raises RankDeficient or ProjectionNotOnto at such an N.
+    From the support width on, every condition holds.
 
     Raises RankDeficient, ProjectionNotOnto, or Infeasible (no N <=
     DEFAULT_N_CAP).
     """
     m, k, w = problem.m, problem.k, problem.width
     qr = numlin.StackedQR(truncated_matrix(problem, w), k)
+    qr.require_onto()
     margin = qr.margin
-    if margin <= numlin.DEFAULT_TOL:
-        qr.require_rank()
-        raise ProjectionNotOnto(
-            "kernel of the constraints does not project onto the first "
-            f"{k} coordinate(s)"
-        )
     z0 = qr.center(problem.w0)
+    chol = qr.gram_factor()
 
     n_min = None
     for n in range(k + m + 2, w + 1):
@@ -185,4 +194,4 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
         "tol": numlin.DEFAULT_TOL,
         "rank_margin": margin,
     }
-    return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, rank_checks=checks)
+    return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, chol=chol, rank_checks=checks)

@@ -15,10 +15,9 @@ import json
 import sys
 
 from . import harness
-from .affine_model import INF, validate
+from .affine_model import validate
 from .errors import ConfigError, InadmissibleFunction, SliceMeanError
 from .integrators import gaussian_limit, slice_mean_mc, slice_mean_quadrature
-from .projections import build_projection
 from .slice_geometry import build_slice
 from .testfns import known_limit
 
@@ -123,8 +122,7 @@ def cmd_limit(args) -> int:
     fn = harness.function_from_config(cfg)
     closed = known_limit(fn, validated)
     payload = {"mean": [float(v) for v in validated.z0_cyl]}
-    pd = build_projection(validated, INF)
-    payload["covariance"] = [[float(v) for v in row] for row in pd.g]
+    payload["covariance"] = [[float(v) for v in row] for row in validated.g]
     if closed is not None:
         payload["closed_form"] = float(closed)
     if validated.k <= 3 and fn.gauss_hermite_ok:

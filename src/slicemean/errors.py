@@ -9,13 +9,10 @@ class RankDeficient(SliceMeanError):
     """A matrix that must have full row rank does not, at the working tolerance."""
 
 
-class NotSPD(SliceMeanError):
-    """A matrix that must be symmetric positive definite is not."""
-
-
 class ProjectionNotOnto(SliceMeanError):
     """The first-k-coordinates projection restricted to the constraint kernel
-    fails to cover all of R^k, so no limiting Gaussian exists."""
+    fails to cover all of R^k: at the support width no limiting Gaussian
+    exists, at a truncation below it no slice geometry."""
 
 
 class Infeasible(SliceMeanError):

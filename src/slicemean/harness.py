@@ -20,7 +20,6 @@ import numpy as np
 
 from . import testfns
 from .affine_model import (
-    INF,
     AffineProblem,
     ValidatedProblem,
     least_norm_center,
@@ -42,7 +41,7 @@ from .integrators import (
     slice_mean_quadrature,
 )
 from .numlin import as_matrix, kernel_onb
-from .projections import build_projection, kernel_projection_norm_sq, preimage_norm_sq
+from .projections import kernel_projection_norm_sq, preimage_norm_sq
 from .slice_geometry import build_slice, weight
 from .testfns import CosLinear, TestFunction, known_limit
 
@@ -118,6 +117,15 @@ _SCHEMA = {
     "counterexample": {"z", "R", "nodes"},
 }
 _TOP_KEYS = set(_SCHEMA) | {"schedule", "seed"}
+#: Values that must be JSON integers, by their dotted path in the config.
+_INT_KEYS = ("problem.k", "problem.Q.rows", "problem.Q.cols", "seed", "mc.n_samples",
+             "mc.shard_size", "quad.radial_nodes", "quad.angular_nodes", "counterexample.nodes",
+             "verify.mc_samples")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not counts
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown(section: str, given: dict, allowed: set):
@@ -132,7 +140,8 @@ def validate_config(cfg: dict) -> dict:
     """Validate the JSON config fail-closed and return it unchanged.
 
     Every section rejects keys it does not know about, so a typo fails the
-    run instead of being silently ignored.
+    run instead of being silently ignored. Counts, k and the seed must be
+    JSON integers: 2.5, true or "1" are refused, not truncated.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -146,9 +155,16 @@ def validate_config(cfg: dict) -> dict:
         q = cfg["problem"].get("Q")
         if isinstance(q, dict):
             _reject_unknown("problem.Q", q, {"rows", "cols", "entries"})
+    for name in _INT_KEYS:
+        *path, key = name.split(".")
+        values = cfg
+        for part in path:
+            values = values.get(part) if isinstance(values, dict) else None
+        if isinstance(values, dict) and key in values and not _is_int(values[key]):
+            raise ConfigError(f"{name} must be an integer, got {values[key]!r}")
     if "schedule" in cfg and (
         not isinstance(cfg["schedule"], list)
-        or not all(isinstance(n, int) and n > 0 for n in cfg["schedule"])
+        or not all(_is_int(n) and n > 0 for n in cfg["schedule"])
     ):
         raise ConfigError("schedule must be a list of positive integers")
     return cfg
@@ -175,7 +191,7 @@ def problem_from_config(cfg: dict) -> AffineProblem:
             q = as_matrix(int(q_spec["rows"]), int(q_spec["cols"]), q_spec["entries"])
         else:
             q = np.atleast_2d(np.asarray(q_spec, dtype=float))
-        return AffineProblem(q=q, w0=np.asarray(section["w0"], dtype=float), k=int(section["k"]))
+        return AffineProblem(q=q, w0=np.asarray(section["w0"], dtype=float), k=section["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'problem' section: {exc}") from exc
 
@@ -388,6 +404,11 @@ def _check_constant_limit(ctx: _Ctx) -> CheckResult:
     return CheckResult("constant_limit", worst <= 0, worst, trials)
 
 
+def _det(chol: np.ndarray) -> float:
+    # |det| of the restricted projection as a map between k-spaces: det C
+    return math.exp(float(np.sum(np.log(np.diag(chol)))))
+
+
 def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
     rng = ctx.rng(3)
     worst = -math.inf
@@ -395,17 +416,17 @@ def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
     max_err_below = {}
     for _ in range(20):
         validated = random_validated(rng)
-        det_inf = math.exp(build_projection(validated, INF).log_det_l0)
+        det_inf = _det(validated.chol)
         for n in (50, 55, 60, 64, 75, 80, 100):
-            # from the full N-column kernel basis: build_projection takes
-            # its basis at the support width (50 here), so it would return
+            # from the full N-column kernel basis: for N >= width (50 here)
+            # build_slice returns validate's factor, so it would give
             # det_inf by construction and test nothing
             m_top = kernel_onb(truncated_matrix(validated.problem, n))[: validated.k]
             det_n = math.sqrt(np.linalg.det(m_top @ m_top.T))
             worst = max(worst, abs(det_n - det_inf) - 1e-12 * ctx.tol_scale)
             trials += 1
         for n in range(validated.n_min, 50, 5):
-            err = abs(math.exp(build_projection(validated, n).log_det_l0) - det_inf)
+            err = abs(_det(build_slice(validated, n).chol) - det_inf)
             max_err_below[n] = max(max_err_below.get(n, 0.0), err)
     recorded = {
         "pre_stabilization_max_abs_err": {str(n): max_err_below[n] for n in sorted(max_err_below)}
@@ -419,12 +440,11 @@ def _check_preimage_inequality(ctx: _Ctx) -> CheckResult:
     trials = 0
     while trials < 100:
         validated = random_validated(rng)
-        pd_inf = build_projection(validated, INF)
         n = int(rng.integers(validated.n_min, 50))
-        pd_n = build_projection(validated, n)
+        chol_n = build_slice(validated, n).chol
         x = rng.standard_normal(validated.k)
-        lhs = preimage_norm_sq(pd_n, x)
-        rhs = preimage_norm_sq(pd_inf, x)
+        lhs = preimage_norm_sq(chol_n, x)
+        rhs = preimage_norm_sq(validated.chol, x)
         worst = max(worst, rhs - lhs - 1e-12 * ctx.tol_scale)
         trials += 1
     return CheckResult("preimage_norm_inequality", worst <= 0, worst, trials)
@@ -451,7 +471,7 @@ def _check_char_fn_identity(ctx: _Ctx) -> CheckResult:
     trials = 0
     for _ in range(20):
         validated = random_validated(rng)
-        g = build_projection(validated, INF).g
+        g = validated.g
         for _ in range(5):
             t = rng.standard_normal(validated.k)
             quad_form = float(t @ g @ t)
@@ -490,8 +510,7 @@ def _check_factor_invariance(ctx: _Ctx) -> CheckResult:
         base = slice_mean_quadrature(geom, fn)
         for _ in range(3):
             o = _haar_orthogonal(rng, validated.k)
-            pd_rot = dataclasses.replace(geom.pd, chol=geom.pd.chol @ o)
-            geom_rot = dataclasses.replace(geom, pd=pd_rot)
+            geom_rot = dataclasses.replace(geom, chol=geom.chol @ o)
             rot = slice_mean_quadrature(geom_rot, fn)
             slack = 10.0 * max(base.err_estimate, 1e-15) * ctx.tol_scale
             worst = max(worst, abs(rot.value - base.value) - slack)

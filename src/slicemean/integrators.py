@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .affine_model import INF, ValidatedProblem
+from .affine_model import ValidatedProblem
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
-from .projections import build_projection
 from .rules import (
     beta_radial_rule,
     gauss_hermite_prob,
@@ -92,7 +91,7 @@ def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
     # one (radial, direction, k) array, shifted in place: the node set is
     # several MB at refined counts, and each extra temporary of that size
     # is a fresh mmap with its page faults on every pass
-    x = r[:, None, None] * (dirs @ geom.pd.chol.T)
+    x = r[:, None, None] * (dirs @ geom.chol.T)
     x += geom.x0
     vals = np.asarray(phi.eval(x), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -203,7 +202,7 @@ def slice_mean_mc(
     def draw(rng, b):
         z = rng.standard_normal((b, k))
         norms = np.sqrt(np.einsum("ij,ij->i", z, z) + rng.chisquare(df, b))
-        return geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.pd.chol.T)
+        return geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.chol.T)
 
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     args = [(cfg.seed, i, size, k, draw, phi) for i, size in enumerate(sizes)]
@@ -293,10 +292,9 @@ def gaussian_limit(
     axis (k <= 3), its error estimate the difference against 32 nodes;
     otherwise it is Monte Carlo with the divergence detector.
     """
-    pd = build_projection(validated, INF)
     mu = validated.z0_cyl
     if mc is not None:
-        return _gaussian_mc(mu, pd.chol, phi, mc)
+        return _gaussian_mc(mu, validated.chol, phi, mc)
     if validated.k > 3:
         raise UnsupportedDimension("tensor Gauss-Hermite supports k <= 3; use Monte Carlo")
     if not phi.gauss_hermite_ok:
@@ -304,7 +302,7 @@ def gaussian_limit(
             f"{phi.kind} grows too fast for Gauss-Hermite quadrature; "
             "use the Monte Carlo method"
         )
-    return _gauss_hermite_limit(mu, pd.chol, phi)
+    return _gauss_hermite_limit(mu, validated.chol, phi)
 
 
 def _graded_edges(r: float, nodes: int, z: float):

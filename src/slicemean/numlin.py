@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import RankDeficient
+from .errors import ProjectionNotOnto, RankDeficient
 
 #: The one relative rank cutoff: singular values below DEFAULT_TOL times the
 #: largest singular value count as zero.
@@ -80,6 +80,25 @@ class StackedQR:
         if _singular_ratio(self.r[: self.m, : self.m]) <= DEFAULT_TOL:
             raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
 
+    def require_onto(self):
+        """Raise unless margin > DEFAULT_TOL. The margin is at most both q's
+        sigma_m / sigma_1 (of R11) and sigma_min of R22 (scale-free: G =
+        R22^T R22 is a block of a projector), so it can fail while each
+        passes. RankDeficient when q's ratio is at the cutoff or the smaller,
+        else ProjectionNotOnto; the message names both."""
+        if self.margin > DEFAULT_TOL:
+            return
+        m, n = self.m, len(self.u)
+        rank = _singular_ratio(self.r[:m, :m])
+        onto = _sigma_min(self.r[m:, m:])
+        ratios = f"sigma_m/sigma_1 of Q {rank:.2g}, sigma_min of R22 {onto:.2g}"
+        if rank <= DEFAULT_TOL or rank < onto:
+            raise RankDeficient(f"rank < {m} on the first {n} column(s) of Q ({ratios})")
+        raise ProjectionNotOnto(
+            f"the kernel of the first {n} column(s) of Q does not project onto the "
+            f"first {self.r.shape[1] - m} coordinate(s) ({ratios})"
+        )
+
     def center(self, w) -> np.ndarray:
         """Minimal-norm solution of q x = w; q must have full row rank."""
         y = scipy.linalg.solve_triangular(self.r[: self.m, : self.m], w, trans="T", check_finite=False)
@@ -95,6 +114,12 @@ def _singular_ratio(r: np.ndarray) -> float:
     # sigma_min / sigma_max; 0 for a zero block or a wide one (fewer rows)
     s = np.linalg.svd(r, compute_uv=False)
     return float(s[-1] / s[0]) if s.size == r.shape[1] and s[0] > 0 else 0.0
+
+
+def _sigma_min(r: np.ndarray) -> float:
+    # 0 for a wide block (fewer rows than columns)
+    s = np.linalg.svd(r, compute_uv=False)
+    return float(s[-1]) if s.size == r.shape[1] else 0.0
 
 
 def log_surface_constant(j: int) -> float:

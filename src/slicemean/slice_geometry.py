@@ -10,6 +10,11 @@ slice reduces to a k-dimensional integral of the function against the weight
 over the ball of radius a in whitened coordinates, times a normalization
 constant kept in log domain (the linear-domain sphere-surface constants
 overflow float64 near N ~ 350).
+
+Whitening uses the Cholesky factor C of G, the leading k x k block of the
+projector onto ker Q_N. For N >= width that projector is diag(P_w, I), so
+C is the one ``validate`` took at the width; below it, one thin QR of Q_N
+(``numlin.StackedQR``) gives C and the center.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine_model import ValidatedProblem, least_norm_center
+from . import numlin
+from .affine_model import ValidatedProblem, truncated_matrix
 from .errors import BelowMinN, RankDeficient, SliceEmpty
 from .numlin import log_surface_constant
-from .projections import ProjectionData, build_projection
 
 
 @dataclass(frozen=True)
@@ -30,8 +35,9 @@ class SliceGeometry:
     """Geometry of one slice: center, radius, weight exponent, normalization.
 
     ``log_prefactor`` is the log of the constant multiplying the whitened
-    k-dimensional integral; it tends to -(k/2) ln(2 pi) as N grows. ``pd``
-    is the projection data at this N.
+    k-dimensional integral; it tends to -(k/2) ln(2 pi) as N grows. ``chol``
+    is the lower-triangular Cholesky factor, with positive diagonal, of the
+    Gram matrix G at this N.
     """
 
     n: int
@@ -43,7 +49,7 @@ class SliceGeometry:
     a_z: float
     exponent: float
     log_prefactor: float
-    pd: ProjectionData
+    chol: np.ndarray
 
 
 def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
@@ -57,32 +63,39 @@ def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     """Slice geometry at truncation dimension n.
 
-    Raises BelowMinN for n < n_min, SliceEmpty when the sphere does not
-    reach the constraint set (n <= |center|^2), and RankDeficient when the
-    truncated constraints lose numerical rank at an n >= n_min (see
-    ``validate``).
+    Raises, in this order: RankDeficient when the truncated constraints lose
+    numerical rank at an n >= n_min, SliceEmpty when the sphere does not
+    reach the constraint set (n <= |center|^2), BelowMinN for n < n_min, and
+    RankDeficient or ProjectionNotOnto when the stacked rank rule fails at
+    this n (see ``validate``).
     """
     n = int(n)
     problem = validated.problem
+    k, m = validated.k, validated.m
     # Emptiness is diagnosed before the min-N gate so that a skipped sweep
     # row names the geometric obstruction when both conditions fail.
-    z0n = None
-    if n >= problem.width:
-        z0n = validated.z0
-    else:
+    qr = None
+    z0n = validated.z0
+    if n < problem.width:
+        qr = numlin.StackedQR(truncated_matrix(problem, n), k)
         try:
-            z0n = least_norm_center(problem, n)
+            qr.require_rank()
+            z0n = qr.center(problem.w0)
         except RankDeficient:
             if n >= validated.n_min:
                 raise
+            z0n = None
     if z0n is not None:
         center_sq = float(z0n @ z0n)
         if n <= center_sq:
             raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
     if n < validated.n_min:
         raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
+    chol = validated.chol
+    if qr is not None:
+        qr.require_onto()
+        chol = qr.gram_factor()
     z0n = z0n.copy()
-    k, m = validated.k, validated.m
     d = n - 1
     a_z = math.sqrt(n - center_sq)
     exponent = 0.5 * (d - k - m - 1)
@@ -96,7 +109,7 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
         a_z=a_z,
         exponent=exponent,
         log_prefactor=_log_prefactor(d, k, m, a_z),
-        pd=build_projection(validated, n),
+        chol=chol,
     )
 
 

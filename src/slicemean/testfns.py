@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine_model import INF, ValidatedProblem
-from .projections import build_projection
+from .affine_model import ValidatedProblem
 
 LP_ALL = "L^p for all p"
 LP_ONE = "L^1 only"
@@ -182,9 +181,8 @@ def known_limit(fn: TestFunction, validated: ValidatedProblem):
     """
     if not fn.has_closed_form_limit:
         return None
-    pd = build_projection(validated, INF)
     mu = validated.z0_cyl
-    g = pd.g
+    g = validated.g
     if isinstance(fn, (CosLinear, SinLinear)):
         t = fn.t
         damp = math.exp(-0.5 * float(t @ g @ t))

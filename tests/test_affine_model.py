@@ -40,6 +40,14 @@ class TestValidate:
         with pytest.raises(RankDeficient):
             validate(AffineProblem(q=[[1.0, 2.0], [2.0, 4.0]], w0=[1.0, 1.0], k=1))
 
+    def test_near_dependent_rows_blamed_on_rank(self):
+        # e1 is orthogonal to both rows, so the kernel projects onto R^1; the
+        # stacked margin (8.5e-11) fails because the rows are only 1.2e-10
+        # apart in ratio, while sigma_min of R22 is 1
+        q = 0.5 * np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.4e-10, 0.0]])
+        with pytest.raises(RankDeficient, match=r"of Q 1.2e-10, sigma_min of R22 1\)"):
+            validate(AffineProblem(q=q, w0=[0.1, 0.1], k=1))
+
     def test_cylinder_wider_than_support_not_onto(self):
         # coordinates beyond the support are free, but the constrained block
         # still pins the first two coordinates to a line
@@ -82,7 +90,7 @@ def test_wide_support():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert geom.pd.g.shape == (2, 2)
+    assert geom.chol.shape == (2, 2)
     assert elapsed < 0.5
     assert peak < 20e6
 

@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slicemean import ConfigError, InadmissibleFunction
-from slicemean import harness
+from slicemean import AffineProblem, ConfigError, InadmissibleFunction
+from slicemean import cli, harness
 
 
 BASE_CONFIG = {
@@ -51,6 +51,39 @@ class TestConfigValidation:
     def test_rejects_bad_schedule(self):
         with pytest.raises(ConfigError, match="schedule"):
             harness.validate_config(config(schedule=[16, -1]))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("problem.k", 2.5),
+            ("problem.k", True),
+            ("problem.k", "1"),
+            ("problem.Q.rows", 1.9),
+            ("seed", 1.5),
+            ("mc.n_samples", 1000.9),
+            ("mc.shard_size", 4096.0),
+            ("quad.radial_nodes", 64.7),
+            ("quad.angular_nodes", False),
+            ("counterexample.nodes", 48.5),
+            ("verify.mc_samples", 1e5),
+            ("schedule", [16, True]),
+        ],
+    )
+    def test_rejects_non_integer(self, tmp_path, name, value):
+        cfg = config()
+        *path, key = name.split(".")
+        section = cfg
+        for part in path:
+            section = section.setdefault(part, {})
+        section[key] = value
+        with pytest.raises(ConfigError, match=key):
+            harness.validate_config(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        if key == "k":
+            with pytest.raises(ValueError, match="integer"):
+                AffineProblem(q=[[3.0, 4.0]], w0=[5.0], k=value)
 
     def test_nested_list_matrix_accepted(self):
         cfg = config()

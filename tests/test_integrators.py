@@ -121,9 +121,7 @@ class TestQuadrature:
         a = rng.standard_normal((2, 2))
         q, r = np.linalg.qr(a)
         o = q * np.sign(np.diag(r))
-        geom_rot = dataclasses.replace(
-            geom, pd=dataclasses.replace(geom.pd, chol=geom.pd.chol @ o)
-        )
+        geom_rot = dataclasses.replace(geom, chol=geom.chol @ o)
         rot = slice_mean_quadrature(geom_rot, fn)
         assert abs(rot.value - base.value) < 10.0 * max(base.err_estimate, 1e-15)
 

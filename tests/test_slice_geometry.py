@@ -6,15 +6,19 @@ from numpy.testing import assert_allclose
 
 from slicemean import (
     BelowMinN,
+    CosLinear,
     Monomial,
-    NotSPD,
+    ProjectionNotOnto,
     QuadConfig,
     RankDeficient,
     SliceEmpty,
     build_slice,
+    gaussian_limit,
+    known_limit,
     slice_mean_quadrature,
     weight,
 )
+from slicemean import numlin
 
 
 class TestBuildSlice:
@@ -44,10 +48,35 @@ class TestBuildSlice:
 
     def test_onto_dip_above_n_min(self, onto_dip):
         # the rows keep rank 2 at N = 6, but their kernel is not onto R^1
-        with pytest.raises(NotSPD):
+        with pytest.raises(ProjectionNotOnto):
             build_slice(onto_dip, 6)
         for n in (5, 7, 8):
             assert build_slice(onto_dip, n).n == n
+
+    def test_one_factorization_per_truncation(self, monkeypatch, rank_dip):
+        # below the support width (7) one StackedQR gives every per-N
+        # quantity; from the width on, and for the limit, validate's is reused
+        counts = []
+
+        class Counting(numlin.StackedQR):
+            def __init__(self, *args):
+                counts[-1] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(numlin, "StackedQR", Counting)
+
+        def taken(call):
+            counts.append(0)
+            result = call()
+            return counts[-1], result
+
+        fn = CosLinear(t=[1.0])
+        assert taken(lambda: build_slice(rank_dip, 5))[0] == 1
+        count, geom = taken(lambda: build_slice(rank_dip, 8))
+        assert count == 0 and geom.chol is rank_dip.chol
+        assert not rank_dip.chol.flags.writeable
+        assert taken(lambda: known_limit(fn, rank_dip))[0] == 0
+        assert taken(lambda: gaussian_limit(rank_dip, fn))[0] == 0
 
     def test_exponent(self, fix_b):
         geom = build_slice(fix_b, 100)
