@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -110,22 +111,26 @@ class VerifyReport:
 _SCHEMA = {
     "problem": {"Q", "w0", "k"},
     "function": {"kind", "params"},
-    "quad": {"radial_nodes", "angular_nodes", "target_rel_err"},
+    "quad": {"target_rel_err"},
     "mc": {"n_samples", "shard_size"},
     "outputs": {"csv_path", "svg_path"},
-    "verify": {"checks", "tol_scale", "mc_samples"},
-    "counterexample": {"z", "R", "nodes"},
+    "verify": {"checks", "mc_samples"},
+    "counterexample": {"z", "R"},
 }
 _TOP_KEYS = set(_SCHEMA) | {"schedule", "seed"}
 #: Values that must be JSON integers, by their dotted path in the config.
 _INT_KEYS = ("problem.k", "problem.Q.rows", "problem.Q.cols", "seed", "mc.n_samples",
-             "mc.shard_size", "quad.radial_nodes", "quad.angular_nodes", "counterexample.nodes",
-             "verify.mc_samples")
+             "mc.shard_size", "verify.mc_samples")
 
 
 def _is_int(value) -> bool:
     # JSON true/false load as bool, a subclass of int; they are not counts
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # ints compare with floats exactly, so a 400-digit int is refused, not overflowed
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _reject_unknown(section: str, given: dict, allowed: set):
@@ -141,7 +146,10 @@ def validate_config(cfg: dict) -> dict:
 
     Every section rejects keys it does not know about, so a typo fails the
     run instead of being silently ignored. Counts, k and the seed must be
-    JSON integers: 2.5, true or "1" are refused, not truncated.
+    JSON integers: 2.5, true or "1" are refused, not truncated. The
+    counterexample grids must be non-empty lists of finite numbers, with
+    every R > 0; verify.checks must be null or a list of ALL_CHECKS names,
+    and verify.mc_samples at least 1.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -167,6 +175,20 @@ def validate_config(cfg: dict) -> dict:
         or not all(_is_int(n) and n > 0 for n in cfg["schedule"])
     ):
         raise ConfigError("schedule must be a list of positive integers")
+    for key, values in cfg.get("counterexample", {}).items():
+        if not (isinstance(values, list) and values
+                and all(_is_finite(v) and (key == "z" or v > 0) for v in values)):
+            raise ConfigError(f"counterexample.{key} must be a non-empty list of finite "
+                              f"numbers, every R > 0; got {values!r}")
+    verify = cfg.get("verify", {})
+    checks = verify.get("checks")
+    if checks is not None and not (
+        isinstance(checks, list) and all(isinstance(n, str) and n in ALL_CHECKS for n in checks)
+    ):
+        raise ConfigError(f"unknown verify check(s) in verify.checks {checks!r}: it must be "
+                          f"null or a list of names from {sorted(ALL_CHECKS)}")
+    if verify.get("mc_samples", 1) < 1:
+        raise ConfigError(f"verify.mc_samples must be >= 1, got {verify['mc_samples']}")
     return cfg
 
 
@@ -258,6 +280,7 @@ def run_sweep(
     declared L^1 only are refused: the convergence guarantee needs L^p for
     some p > 1 against the limiting Gaussian.
     """
+    validate_config(cfg)
     problem = problem_from_config(cfg)
     fn = function_from_config(cfg)
     if not fn.sweep_admissible:
@@ -361,7 +384,6 @@ def _haar_orthogonal(rng, k: int) -> np.ndarray:
 @dataclass
 class _Ctx:
     seed: int
-    tol_scale: float
     threads: int
     mc_samples: int
 
@@ -380,7 +402,7 @@ def _check_normalization(ctx: _Ctx) -> CheckResult:
                 continue
             geom = build_slice(validated, n)
             res = slice_mean_quadrature(geom, one)
-            slack = max(res.err_estimate, 1e-12) * ctx.tol_scale
+            slack = max(res.err_estimate, 1e-12)
             worst = max(worst, abs(res.value - 1.0) - slack)
             trials += 1
     return CheckResult("normalization", worst <= 0, worst, trials)
@@ -399,7 +421,7 @@ def _check_constant_limit(ctx: _Ctx) -> CheckResult:
             geom = build_slice(validated, n)
             got = math.exp(geom.log_prefactor)
             want = (2.0 * math.pi) ** (-k / 2.0)
-            worst = max(worst, abs(got - want) / want - 1e-3 * ctx.tol_scale)
+            worst = max(worst, abs(got - want) / want - 1e-3)
             trials += 1
     return CheckResult("constant_limit", worst <= 0, worst, trials)
 
@@ -423,7 +445,7 @@ def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
             # det_inf by construction and test nothing
             m_top = kernel_onb(truncated_matrix(validated.problem, n))[: validated.k]
             det_n = math.sqrt(np.linalg.det(m_top @ m_top.T))
-            worst = max(worst, abs(det_n - det_inf) - 1e-12 * ctx.tol_scale)
+            worst = max(worst, abs(det_n - det_inf) - 1e-12)
             trials += 1
         for n in range(validated.n_min, 50, 5):
             err = abs(_det(build_slice(validated, n).chol) - det_inf)
@@ -445,7 +467,7 @@ def _check_preimage_inequality(ctx: _Ctx) -> CheckResult:
         x = rng.standard_normal(validated.k)
         lhs = preimage_norm_sq(chol_n, x)
         rhs = preimage_norm_sq(validated.chol, x)
-        worst = max(worst, rhs - lhs - 1e-12 * ctx.tol_scale)
+        worst = max(worst, rhs - lhs - 1e-12)
         trials += 1
     return CheckResult("preimage_norm_inequality", worst <= 0, worst, trials)
 
@@ -460,7 +482,7 @@ def _check_dominating_bound(ctx: _Ctx) -> CheckResult:
         n = int(rng.integers(k + m + 3, 10_000))
         y = float(rng.uniform(0.0, n))
         lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
-        rhs = math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12 * ctx.tol_scale
+        rhs = math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12
         worst = max(worst, lhs - rhs)
     return CheckResult("dominating_bound", worst <= 0, worst, trials)
 
@@ -476,7 +498,7 @@ def _check_char_fn_identity(ctx: _Ctx) -> CheckResult:
             t = rng.standard_normal(validated.k)
             quad_form = float(t @ g @ t)
             proj_norm = kernel_projection_norm_sq(validated, t)
-            slack = min(1e-10, 1e-12 + 1e-10 * abs(quad_form)) * ctx.tol_scale
+            slack = min(1e-10, 1e-12 + 1e-10 * abs(quad_form))
             worst = max(worst, abs(quad_form - proj_norm) - slack)
             trials += 1
     return CheckResult("characteristic_function_identity", worst <= 0, worst, trials)
@@ -512,7 +534,7 @@ def _check_factor_invariance(ctx: _Ctx) -> CheckResult:
             o = _haar_orthogonal(rng, validated.k)
             geom_rot = dataclasses.replace(geom, chol=geom.chol @ o)
             rot = slice_mean_quadrature(geom_rot, fn)
-            slack = 10.0 * max(base.err_estimate, 1e-15) * ctx.tol_scale
+            slack = 10.0 * max(base.err_estimate, 1e-15)
             worst = max(worst, abs(rot.value - base.value) - slack)
             trials += 1
     return CheckResult("factor_invariance", worst <= 0, worst, trials)
@@ -531,7 +553,7 @@ def _check_basis_invariance(ctx: _Ctx) -> CheckResult:
         k = problem.k
         g1 = basis[:k] @ basis[:k].T
         g2 = alt[:k] @ alt[:k].T
-        worst = max(worst, float(np.abs(g1 - g2).max()) - 1e-12 * ctx.tol_scale)
+        worst = max(worst, float(np.abs(g1 - g2).max()) - 1e-12)
         trials += 1
     return CheckResult("basis_invariance", worst <= 0, worst, trials)
 
@@ -558,7 +580,7 @@ def _check_padding_invariance(ctx: _Ctx) -> CheckResult:
         n = 64
         v1 = slice_mean_quadrature(build_slice(base, n), fn).value
         v2 = slice_mean_quadrature(build_slice(padded, n), fn).value
-        worst = max(worst, abs(v1 - v2) - 1e-12 * ctx.tol_scale)
+        worst = max(worst, abs(v1 - v2) - 1e-12)
         trials += 1
     return CheckResult("padding_invariance", worst <= 0, worst, trials)
 
@@ -578,8 +600,8 @@ def _check_z0n_convergence(ctx: _Ctx) -> CheckResult:
             padded[: zn.size] = zn
             errs.append(float(np.linalg.norm(padded - z0)))
         diffs = np.diff(np.asarray(errs))
-        worst = max(worst, float(diffs.max(initial=-math.inf)) - 1e-12 * ctx.tol_scale)
-        worst = max(worst, errs[-1] - 1e-12 * ctx.tol_scale)
+        worst = max(worst, float(diffs.max(initial=-math.inf)) - 1e-12)
+        worst = max(worst, errs[-1] - 1e-12)
         trials += 1
     return CheckResult("z0n_convergence", worst <= 0, worst, trials)
 
@@ -594,7 +616,7 @@ def _check_z0_orthogonality(ctx: _Ctx) -> CheckResult:
         problem = validated.problem
         basis = kernel_onb(truncated_matrix(problem, problem.width))
         inner = basis.T @ validated.z0[: problem.width]
-        worst = max(worst, float(np.abs(inner).max(initial=0.0)) - 1e-10 * ctx.tol_scale)
+        worst = max(worst, float(np.abs(inner).max(initial=0.0)) - 1e-10)
         trials += 1
     return CheckResult("z0_orthogonality", worst <= 0, worst, trials)
 
@@ -608,16 +630,12 @@ def _check_exact_moments(ctx: _Ctx) -> CheckResult:
     x2 = testfns.Monomial(alpha=(2,))
     for n in (16, 64, 256, 1024, 4096):
         got = slice_mean_quadrature(build_slice(fix_a3, n), x2).value
-        worst = max(worst, abs(got - (n - 9.0) / (n - 1.0)) - 1e-8 * ctx.tol_scale)
+        worst = max(worst, abs(got - (n - 9.0) / (n - 1.0)) - 1e-8)
         trials += 1
     for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         geom = build_slice(fix_b, n)
-        worst = max(
-            worst, abs(slice_mean_quadrature(geom, x1).value - 0.6) - 1e-10 * ctx.tol_scale
-        )
-        worst = max(
-            worst, abs(slice_mean_quadrature(geom, x2).value - 1.0) - 1e-8 * ctx.tol_scale
-        )
+        worst = max(worst, abs(slice_mean_quadrature(geom, x1).value - 0.6) - 1e-10)
+        worst = max(worst, abs(slice_mean_quadrature(geom, x2).value - 1.0) - 1e-8)
         trials += 2
     return CheckResult("exact_moments", worst <= 0, worst, trials)
 
@@ -630,7 +648,7 @@ def _check_weight_shape(ctx: _Ctx) -> CheckResult:
         geom = build_slice(validated, n)
         r = np.linspace(0.0, geom.a_z, 2001)
         w = weight(geom, r)
-        worst = max(worst, float(np.diff(w).max()) - 1e-15 * ctx.tol_scale)
+        worst = max(worst, float(np.diff(w).max()) - 1e-15)
         worst = max(worst, abs(w[0] - 1.0), w[-1])
         trials += 1
     return CheckResult("weight_shape", worst <= 0, worst, trials)
@@ -647,7 +665,7 @@ def _check_known_limit_identity(ctx: _Ctx) -> CheckResult:
             via_gram = known_limit(CosLinear(t=t), validated)
             proj_sq = kernel_projection_norm_sq(validated, t)
             via_proj = math.exp(-0.5 * proj_sq) * math.cos(float(t @ validated.z0_cyl))
-            worst = max(worst, abs(via_gram - via_proj) - 1e-10 * ctx.tol_scale)
+            worst = max(worst, abs(via_gram - via_proj) - 1e-10)
             trials += 1
     return CheckResult("known_limit_identity", worst <= 0, worst, trials)
 
@@ -734,16 +752,13 @@ def run_verify(cfg: dict, threads: int = 1, seed=None) -> VerifyReport:
     Failures become report entries, not exceptions; the CLI turns a failed
     report into exit code 1.
     """
+    validate_config(cfg)
     section = cfg.get("verify", {})
     names = section.get("checks")
     if names is None:
         names = list(ALL_CHECKS)
-    unknown = [n for n in names if n not in ALL_CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown verify check(s): {unknown}; known: {sorted(ALL_CHECKS)}")
     ctx = _Ctx(
         seed=config_seed(cfg, seed),
-        tol_scale=float(section.get("tol_scale", 1.0)),
         threads=threads,
         mc_samples=int(section.get("mc_samples", 100_000)),
     )
@@ -761,14 +776,14 @@ def run_counterexample(cfg: dict):
     Returns (rows, summary_lines): rows are {z, R, value} dicts, R ascending
     within each z.
     """
+    validate_config(cfg)
     section = cfg.get("counterexample", {})
     z_list = [float(z) for z in section.get("z", [0.0, 0.3])]
     r_list = sorted(float(r) for r in section.get("R", [1.0, 10.0, 100.0, 1000.0]))
-    nodes = int(section.get("nodes", 48))
     rows = []
     for z in z_list:
         for r in r_list:
-            rows.append({"z": z, "R": r, "value": counterexample_probe(z, r, nodes)})
+            rows.append({"z": z, "R": r, "value": counterexample_probe(z, r)})
     summary = []
     target = math.sqrt(math.pi / 2.0)
     for z in z_list:

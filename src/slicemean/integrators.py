@@ -41,22 +41,21 @@ from .testfns import TestFunction
 #: chunking depends on fixed quantities, never on thread count).
 _CHUNK_ELEMS = 1 << 22
 
+#: Node counts of the first fine quadrature pass: radial nodes, and circle
+#: points for k = 2 or the direction budget for k = 3 (see
+#: ``sphere_directions``). The error check halves them; refinement doubles.
+_RADIAL_NODES = 128
+_ANGULAR_NODES = 64
+
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Node counts of the finest first pass and the refinement target.
+    """The relative error quadrature refines towards (see
+    ``slice_mean_quadrature``)."""
 
-    ``angular_nodes`` is the number of circle points for k = 2 and the
-    direction budget for k = 3 (see ``sphere_directions``).
-    """
-
-    radial_nodes: int = 128
-    angular_nodes: int = 64
     target_rel_err: float = 1e-9
 
     def __post_init__(self):
-        if min(int(self.radial_nodes), int(self.angular_nodes)) < 8:
-            raise ValueError("node counts must be >= 8")
         if not (0.0 < self.target_rel_err < 1e-2):
             raise ValueError("target_rel_err must lie in (0, 1e-2)")
 
@@ -116,8 +115,8 @@ def slice_mean_quadrature(
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
         )
-    n_rad, n_ang = int(cfg.radial_nodes), int(cfg.angular_nodes)
-    coarse, total_evals = _quad_pass(geom, phi, max(4, n_rad // 2), max(4, n_ang // 2))
+    n_rad, n_ang = _RADIAL_NODES, _ANGULAR_NODES
+    coarse, total_evals = _quad_pass(geom, phi, n_rad // 2, n_ang // 2)
     for _ in range(3):
         value, n_evals = _quad_pass(geom, phi, n_rad, n_ang)
         total_evals += n_evals
@@ -337,7 +336,7 @@ def _probe_pass(z: float, r: float, nodes: int) -> float:
     return value
 
 
-def counterexample_probe(z: float, r: float, nodes: int = 48) -> float:
+def counterexample_probe(z: float, r: float) -> float:
     """Integral over [-r, r] of exp(x^2/2)/(1+x^2) against the unit-variance
     Gaussian density with mean z.
 
@@ -346,14 +345,14 @@ def counterexample_probe(z: float, r: float, nodes: int = 48) -> float:
     exp(x^2/2) at large |x|. For z = 0 the truncated integrals converge (to
     sqrt(pi/2)); for z != 0 they grow without bound in r. Large finite
     values are legitimate output; a value beyond the float64 range raises
-    NonFinite. Composite Gauss-Legendre on graded panels, refined once if
-    the half-node check misses relative 1e-8.
+    NonFinite. Composite Gauss-Legendre on graded panels of 48 nodes,
+    refined once if the half-node check misses relative 1e-8.
     """
     if r <= 0:
         raise ValueError("truncation radius must be positive")
-    nodes = max(8, int(nodes))
+    nodes = 48
     value = _probe_pass(z, r, nodes)
-    check = _probe_pass(z, r, max(4, nodes // 2))
+    check = _probe_pass(z, r, nodes // 2)
     if abs(value - check) > 1e-8 * max(1.0, abs(value)):
         value = _probe_pass(z, r, 2 * nodes)
     return value

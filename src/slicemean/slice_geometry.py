@@ -32,19 +32,19 @@ from .numlin import log_surface_constant
 
 @dataclass(frozen=True)
 class SliceGeometry:
-    """Geometry of one slice: center, radius, weight exponent, normalization.
+    """Geometry of one slice in the whitened picture x = x0 + C y.
 
-    ``log_prefactor`` is the log of the constant multiplying the whitened
-    k-dimensional integral; it tends to -(k/2) ln(2 pi) as N grows. ``chol``
-    is the lower-triangular Cholesky factor, with positive diagonal, of the
-    Gram matrix G at this N.
+    ``x0`` is the first k coordinates of the slice center, the closest
+    point of the width-N truncation (``affine_model.least_norm_center``);
+    ``a_z`` is the slice radius. ``log_prefactor`` is the log of the
+    constant multiplying the whitened k-dimensional integral; it tends to
+    -(k/2) ln(2 pi) as N grows. ``chol`` is C, the lower-triangular Cholesky
+    factor, with positive diagonal, of the Gram matrix G at this N.
     """
 
     n: int
-    d: int
     m: int
     k: int
-    z0n: np.ndarray
     x0: np.ndarray
     a_z: float
     exponent: float
@@ -95,16 +95,13 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     if qr is not None:
         qr.require_onto()
         chol = qr.gram_factor()
-    z0n = z0n.copy()
     d = n - 1
     a_z = math.sqrt(n - center_sq)
     exponent = 0.5 * (d - k - m - 1)
     return SliceGeometry(
         n=n,
-        d=d,
         m=m,
         k=k,
-        z0n=z0n,
         x0=z0n[:k].copy(),
         a_z=a_z,
         exponent=exponent,

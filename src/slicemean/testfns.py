@@ -1,11 +1,11 @@
 """Closed registry of cylinder integrands with integrability metadata.
 
 The registry is a fixed tagged set rather than a user-supplied expression
-language: downstream code trusts the declared boundedness and integrability
-class (the convergence guarantee needs L^p, p > 1, against the limiting
-Gaussian as a hypothesis), and a closed set keeps those declarations
-auditable. Functions act on the first k coordinates only; evaluation is
-vectorized over leading axes, x has shape (..., k).
+language: downstream code trusts the declared integrability class (the
+convergence guarantee needs L^p, p > 1, against the limiting Gaussian as a
+hypothesis), and a closed set keeps those declarations auditable. Functions
+act on the first k coordinates only; evaluation is vectorized over leading
+axes, x has shape (..., k).
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ LP_ONE = "L^1 only"
 @dataclass(frozen=True)
 class TestFunction:
     kind = "abstract"
-    bounded = False
     lp_class = LP_ALL
-    has_closed_form_limit = False
     #: growth dominated by a sub-Gaussian envelope, so tensor Gauss-Hermite
     #: quadrature of the limit converges
     gauss_hermite_ok = True
@@ -52,8 +50,6 @@ class CosLinear(TestFunction):
 
     t: np.ndarray = field(default_factory=lambda: np.ones(1))
     kind = "cos_linear"
-    bounded = True
-    has_closed_form_limit = True
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
@@ -68,8 +64,6 @@ class SinLinear(TestFunction):
 
     t: np.ndarray = field(default_factory=lambda: np.ones(1))
     kind = "sin_linear"
-    bounded = True
-    has_closed_form_limit = True
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
@@ -95,14 +89,6 @@ class Monomial(TestFunction):
     def degree(self) -> int:
         return sum(self.alpha)
 
-    @property
-    def bounded(self) -> bool:  # type: ignore[override]
-        return self.degree == 0
-
-    @property
-    def has_closed_form_limit(self) -> bool:  # type: ignore[override]
-        return self.degree <= 2
-
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         out = np.ones(x.shape[:-1])
@@ -119,7 +105,6 @@ class IndicatorBall(TestFunction):
     center: np.ndarray = field(default_factory=lambda: np.zeros(1))
     radius: float = 1.0
     kind = "indicator_ball"
-    bounded = True
 
     def __post_init__(self):
         object.__setattr__(
@@ -141,7 +126,6 @@ class BoundedCutoff(TestFunction):
     inner: TestFunction = field(default_factory=lambda: Monomial((2,)))
     cap: float = 1.0
     kind = "bounded_cutoff"
-    bounded = True
 
     def __post_init__(self):
         if self.cap <= 0:
@@ -179,8 +163,6 @@ def known_limit(fn: TestFunction, validated: ValidatedProblem):
     cosine and sine limits come from its characteristic function, monomials
     of total degree <= 2 from its first two moments.
     """
-    if not fn.has_closed_form_limit:
-        return None
     mu = validated.z0_cyl
     g = validated.g
     if isinstance(fn, (CosLinear, SinLinear)):
@@ -190,6 +172,8 @@ def known_limit(fn: TestFunction, validated: ValidatedProblem):
         return damp * (math.cos(phase) if isinstance(fn, CosLinear) else math.sin(phase))
     if isinstance(fn, Monomial):
         alpha = fn.alpha
+        if fn.degree > 2:
+            return None
         if fn.degree == 0:
             return 1.0
         active = [i for i, a in enumerate(alpha) if a > 0]

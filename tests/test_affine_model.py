@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -96,17 +97,21 @@ def test_wide_support():
 
 
 class TestClosestPoint:
-    """The closest point z0_N of the width-N truncation, as build_slice
-    carries it in ``z0n``."""
+    """The closest point z0_N of the width-N truncation; build_slice
+    carries its first k coordinates as ``x0`` and its norm in ``a_z``."""
 
     def test_stabilized_for_large_n(self, fix_a3):
-        assert_allclose(build_slice(fix_a3, 100).z0n, [0.0, 3.0])
+        geom = build_slice(fix_a3, 100)
+        assert_allclose(geom.x0, [0.0])
+        assert_allclose(geom.a_z, math.sqrt(100.0 - 9.0), rtol=1e-14)
 
     def test_infinite(self, fix_b):
         # the untruncated closest point is z0; every N beyond the support
         # width carries it unchanged
         assert_allclose(fix_b.z0, [0.6, 0.8], atol=1e-14)
-        assert np.array_equal(build_slice(fix_b, 10**6).z0n, fix_b.z0)
+        geom = build_slice(fix_b, 10**6)
+        assert np.array_equal(geom.x0, fix_b.z0[:1])
+        assert geom.a_z == math.sqrt(10**6 - float(fix_b.z0 @ fix_b.z0))
 
     def test_truncation_to_one_column(self, fix_b):
         # oracle: scalar least squares on Q_1 = [3]

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slicemean import cli
+from slicemean import cli, harness
 
 BASE_CONFIG = {
     "problem": {
@@ -15,7 +15,7 @@ BASE_CONFIG = {
     },
     "function": {"kind": "cos_linear", "params": {"t": [1.0]}},
     "schedule": [16, 32, 64],
-    "quad": {"radial_nodes": 64, "angular_nodes": 32},
+    "quad": {"target_rel_err": 1e-9},
     "mc": {"n_samples": 20000, "shard_size": 4096},
     "seed": 11,
 }
@@ -104,10 +104,12 @@ class TestSliceAndLimit:
         assert payload["quad_value"] == pytest.approx(payload["limit_value"], abs=0.05)
 
     def test_angular_node_pair_is_a_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, quad={"radial_nodes": 64, "angular_nodes": [12, 16]})
+        # the node counts are fixed in the code; the key is unknown
+        cfg = write_config(tmp_path, quad={"angular_nodes": [12, 16]})
         proc = run_cli("slice", "--n", "64", "--config", cfg)
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+        assert "unknown key(s) ['angular_nodes']" in proc.stderr
 
     def test_rank_dip_fails_closed(self, tmp_path, rank_dip):
         problem = {"Q": rank_dip.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}
@@ -250,7 +252,7 @@ class TestSweepCommand:
 
 
 class TestVerifyCommand:
-    def test_pass_and_fail_exit_codes(self, tmp_path):
+    def test_pass_and_fail_exit_codes(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(
             tmp_path, verify={"checks": ["exact_moments", "weight_shape"]}
         )
@@ -259,13 +261,12 @@ class TestVerifyCommand:
         payload = json.loads(proc.stdout)
         assert payload["all_passed"] is True
 
-        cfg_fail = write_config(
-            tmp_path,
-            name="fail.json",
-            verify={"checks": ["exact_moments"], "tol_scale": 0.0},
-        )
-        proc_fail = run_cli("verify", "--config", cfg_fail)
-        assert proc_fail.returncode == 1
+        def failing(ctx):
+            return harness.CheckResult("exact_moments", False, 1.0, 1)
+
+        monkeypatch.setitem(harness.ALL_CHECKS, "exact_moments", failing)
+        assert cli.main(["verify", "--config", cfg]) == 1
+        assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
     def test_empty_check_list(self, tmp_path):
         cfg = write_config(tmp_path, verify={"checks": []})
@@ -291,7 +292,7 @@ class TestCounterexampleCommand:
     def test_columns_and_summary(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            counterexample={"z": [0.0, 0.3], "R": [1.0, 10.0, 30.0], "nodes": 48},
+            counterexample={"z": [0.0, 0.3], "R": [1.0, 10.0, 30.0]},
         )
         proc = run_cli("counterexample", "--config", cfg)
         assert proc.returncode == 0
@@ -310,10 +311,30 @@ class TestCounterexampleCommand:
         assert proc.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("counterexample", "z", 0.3),
+        ("counterexample", "R", []),
+        ("counterexample", "R", [-1.0]),
+        ("counterexample", "R", [10**400]),
+        ("verify", "mc_samples", 0),
+        ("verify", "checks", 5),
+        ("verify", "checks", "normalization"),
+    ],
+)
+def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value):
+    # each section is read by the subcommand of the same name
+    cfg = write_config(tmp_path, **{section: {key: value}})
+    assert cli.main([section, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{section}.{key}" in err
+
+
 def test_csv_files_match_printed_tables(tmp_path):
     # one formatter makes both: the sweep table printed without --csv is the
     # --csv file, and counterexample prints the table it writes
-    cfg = write_config(tmp_path, counterexample={"z": [0.0, 0.3], "R": [1.0, 10.0], "nodes": 32})
+    cfg = write_config(tmp_path, counterexample={"z": [0.0, 0.3], "R": [1.0, 10.0]})
     rows_csv = tmp_path / "rows.csv"
     assert run_cli("sweep", "--config", cfg, "--csv", str(rows_csv)).returncode == 0
     printed = run_cli("sweep", "--config", cfg)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ BASE_CONFIG = {
     },
     "function": {"kind": "cos_linear", "params": {"t": [1.0]}},
     "schedule": [16, 32, 64],
-    "quad": {"radial_nodes": 64, "angular_nodes": 32},
+    "quad": {"target_rel_err": 1e-9},
     "mc": {"n_samples": 20000, "shard_size": 4096},
     "seed": 11,
 }
@@ -62,9 +64,9 @@ class TestConfigValidation:
             ("seed", 1.5),
             ("mc.n_samples", 1000.9),
             ("mc.shard_size", 4096.0),
-            ("quad.radial_nodes", 64.7),
-            ("quad.angular_nodes", False),
-            ("counterexample.nodes", 48.5),
+            ("problem.Q.cols", 2.0),
+            ("mc.n_samples", "20000"),
+            ("verify.mc_samples", True),
             ("verify.mc_samples", 1e5),
             ("schedule", [16, True]),
         ],
@@ -84,6 +86,37 @@ class TestConfigValidation:
         if key == "k":
             with pytest.raises(ValueError, match="integer"):
                 AffineProblem(q=[[3.0, 4.0]], w0=[5.0], k=value)
+
+    @pytest.mark.parametrize(
+        "name", ["quad.radial_nodes", "quad.angular_nodes", "verify.tol_scale", "counterexample.nodes"]
+    )
+    def test_removed_keys_are_unknown(self, name):
+        # fixed in the code now: quadrature starts at 128 radial nodes and 64
+        # directions, the probe at 48 nodes a panel, and every verify bound is fixed
+        section, key = name.split(".")
+        cfg = config()
+        cfg.setdefault(section, {})[key] = 1
+        with pytest.raises(ConfigError, match=rf"unknown key.*'{key}'"):
+            harness.validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (harness.run_sweep, config(mc={"n_samples": 1000.9})),
+            (harness.run_verify, {"verify": {"checks": [], "surprise": 1}}),
+            (harness.run_counterexample, {"counterexample": {"R": [1.0], "surprise": 1}}),
+        ],
+        ids=["run_sweep", "run_verify", "run_counterexample"],
+    )
+    def test_entry_points_validate(self, run, cfg):
+        with pytest.raises(ConfigError):
+            run(cfg)
+
+    def test_readme_example_is_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert harness.validate_config(json.loads(block))
 
     def test_nested_list_matrix_accepted(self):
         cfg = config()
@@ -218,11 +251,15 @@ class TestRunVerify:
         assert report.all_passed
         assert [c.name for c in report.checks] == self.FAST
 
-    def test_zero_tolerance_forces_failure(self):
-        report = harness.run_verify(
-            {"verify": {"checks": self.FAST, "tol_scale": 0.0}}
-        )
+    def test_zero_tolerance_forces_failure(self, monkeypatch):
+        # a check that reports a violation fails the report; the others still run
+        def failing(ctx):
+            return harness.CheckResult("normalization", False, 1.0, 1)
+
+        monkeypatch.setitem(harness.ALL_CHECKS, "normalization", failing)
+        report = harness.run_verify({"verify": {"checks": self.FAST}})
         assert not report.all_passed
+        assert [c.passed for c in report.checks] == [False, True, True, True]
 
     def test_empty_check_list(self):
         report = harness.run_verify({"verify": {"checks": []}})
@@ -263,7 +300,7 @@ class TestRunCounterexample:
         assert any("p > 1" in line for line in summary)
 
     def test_configured_grid(self):
-        cfg = {"counterexample": {"z": [0.0], "R": [1.0, 2.0], "nodes": 32}}
+        cfg = {"counterexample": {"z": [0.0], "R": [1.0, 2.0]}}
         rows, _ = harness.run_counterexample(cfg)
         assert len(rows) == 2
         want = 2.0 * math.atan(1.0) / math.sqrt(2.0 * math.pi)

@@ -135,12 +135,7 @@ class TestQuadrature:
 
     def test_quad_config_validation(self):
         with pytest.raises(ValueError):
-            QuadConfig(radial_nodes=4)
-        with pytest.raises(ValueError):
             QuadConfig(target_rel_err=0.5)
-        # the direction count is one int (the k = 3 budget), never a pair
-        with pytest.raises(TypeError):
-            QuadConfig(angular_nodes=(12, 16))
 
 
 class TestMonteCarlo:

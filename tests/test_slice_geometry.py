@@ -81,12 +81,11 @@ class TestBuildSlice:
     def test_exponent(self, fix_b):
         geom = build_slice(fix_b, 100)
         assert geom.exponent == (100 - 1 - 1 - 1 - 1) / 2.0
-        assert geom.d == 99
 
     def test_center_fields(self, fix_b):
         geom = build_slice(fix_b, 64)
-        assert_allclose(geom.z0n, [0.6, 0.8], atol=1e-14)
         assert_allclose(geom.x0, [0.6], atol=1e-14)
+        assert_allclose(geom.a_z, math.sqrt(64.0 - 1.0), rtol=1e-14)
 
 
 class TestWeight:

@@ -64,7 +64,6 @@ class TestMetadata:
             (BoundedCutoff(inner=Monomial(alpha=(4,)), cap=7.0), 7.0, 1),
         ]
         for fn, bound, k in cases:
-            assert fn.bounded
             x = 50.0 * rng.standard_normal((10_000, k))
             assert np.abs(fn.eval(x)).max() <= bound + 1e-12
 
@@ -74,11 +73,9 @@ class TestMetadata:
         assert not g.sweep_admissible
         assert not g.gauss_hermite_ok
 
-    def test_monomial_metadata(self):
-        assert Monomial(alpha=(0,)).bounded
-        assert not Monomial(alpha=(2,)).bounded
-        assert Monomial(alpha=(1, 1)).has_closed_form_limit
-        assert not Monomial(alpha=(3,)).has_closed_form_limit
+    def test_monomial_metadata(self, fix_c):
+        assert known_limit(Monomial(alpha=(1, 1)), fix_c) is not None
+        assert known_limit(Monomial(alpha=(3, 0)), fix_c) is None
         assert Monomial(alpha=(2,)).sweep_admissible
 
 
