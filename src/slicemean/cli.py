@@ -16,7 +16,7 @@ import sys
 
 from . import harness
 from .affine_model import validate
-from .errors import ConfigError, InadmissibleFunction, SliceMeanError
+from .errors import ConfigError, SliceMeanError
 from .integrators import gaussian_limit, slice_mean_mc, slice_mean_quadrature
 from .slice_geometry import build_slice
 from .testfns import known_limit
@@ -26,8 +26,8 @@ _FLAGS = {
     "--n": dict(type=int, required=True, help="truncation dimension N"),
     "--threads": dict(type=int, default=1, help="worker threads (default 1)"),
     "--seed": dict(type=int, default=None, help="overrides the config seed"),
-    "--csv": dict(default=None, help="CSV output path (overrides config)"),
-    "--svg": dict(default=None, help="SVG chart output path (overrides config)"),
+    "--csv": dict(default=None, help="CSV output path"),
+    "--svg": dict(default=None, help="SVG chart output path"),
     "--timing": dict(
         action="store_true",
         help="record real wall-clock times (makes CSV output non-reproducible)",
@@ -55,12 +55,6 @@ def _load(args) -> dict:
     if args.config is None:
         return {}
     return harness.load_config(args.config)
-
-
-def _out_path(args, cfg: dict, key: str, flag_value):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get("outputs", {}).get(key)
 
 
 def cmd_validate(args) -> int:
@@ -156,11 +150,9 @@ def cmd_sweep(args) -> int:
     if not rows:
         print("error: sweep produced no rows", file=sys.stderr)
         return 2
-    csv_path = _out_path(args, cfg, "csv_path", args.csv)
-    svg_path = _out_path(args, cfg, "svg_path", args.svg)
-    if not csv_path:
+    if not args.csv:
         print(harness.sweep_csv(rows), end="")
-    for path in harness.emit_outputs(rows, csv_path, svg_path):
+    for path in harness.emit_outputs(rows, args.csv, args.svg):
         print(f"wrote {path}")
     rate = harness.observed_rate(rows)
     if rate is not None:
@@ -173,10 +165,9 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     report = harness.run_verify(cfg, threads=args.threads, seed=args.seed)
     print(report.to_json())
-    csv_path = _out_path(args, cfg, "csv_path", args.csv)
-    if csv_path:
-        harness.write_text(csv_path, report.to_csv())
-        print(f"wrote {csv_path}")
+    if args.csv:
+        harness.write_text(args.csv, report.to_csv())
+        print(f"wrote {args.csv}")
     return 0 if report.all_passed else 1
 
 
@@ -188,10 +179,9 @@ def cmd_counterexample(args) -> int:
     print(table, end="")
     for line in summary:
         print(line)
-    csv_path = _out_path(args, cfg, "csv_path", args.csv)
-    if csv_path:
-        harness.write_text(csv_path, table)
-        print(f"wrote {csv_path}")
+    if args.csv:
+        harness.write_text(args.csv, table)
+        print(f"wrote {args.csv}")
     return 0
 
 
@@ -210,9 +200,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except InadmissibleFunction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,12 +27,7 @@ from .affine_model import (
     truncated_matrix,
     validate,
 )
-from .errors import (
-    ConfigError,
-    InadmissibleFunction,
-    SliceEmpty,
-    SliceMeanError,
-)
+from .errors import ConfigError, InadmissibleFunction, SliceMeanError
 from .integrators import (
     McConfig,
     QuadConfig,
@@ -113,7 +108,6 @@ _SCHEMA = {
     "function": {"kind", "params"},
     "quad": {"target_rel_err"},
     "mc": {"n_samples", "shard_size"},
-    "outputs": {"csv_path", "svg_path"},
     "verify": {"checks", "mc_samples"},
     "counterexample": {"z", "R"},
 }
@@ -219,12 +213,20 @@ def problem_from_config(cfg: dict) -> AffineProblem:
 
 
 def function_from_config(cfg: dict) -> TestFunction:
+    """The configured test function; where the config sets problem.k, the
+    function must fit R^k (see ``TestFunction.fits``)."""
     if "function" not in cfg:
         raise ConfigError("config has no 'function' section")
     try:
-        return testfns.from_config(cfg["function"])
+        fn = testfns.from_config(cfg["function"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'function' section: {exc}") from exc
+    problem = cfg.get("problem")
+    k = problem.get("k") if isinstance(problem, dict) else None
+    if k is not None and not fn.fits(k):
+        raise ConfigError(f"function {cfg['function']} does not fit problem.k = {k}: "
+                          "t and center need k entries, alpha at most k")
+    return fn
 
 
 def quad_config(cfg: dict) -> QuadConfig:
@@ -299,7 +301,7 @@ def run_sweep(
         start = time.perf_counter()
         try:
             geom = build_slice(validated, n)
-        except (SliceEmpty, SliceMeanError) as exc:
+        except SliceMeanError as exc:
             return None, f"N={n}: skipped ({exc})"
         quad = slice_mean_quadrature(geom, fn, qcfg)
         mc = slice_mean_mc(geom, fn, mc_config(cfg, (base_seed + n) % 2**64))
@@ -391,10 +393,42 @@ class _Ctx:
         return np.random.default_rng((self.seed, salt))
 
 
-def _check_normalization(ctx: _Ctx) -> CheckResult:
+#: check name -> ctx -> CheckResult, in report order
+ALL_CHECKS = {}
+
+
+def _check(name: str):
+    """Register a property check in ALL_CHECKS under ``name``.
+
+    The decorated generator takes the verify context and yields one
+    violation per trial (<= 0 passes); it may ``return`` a dict that the
+    report records. The registered callable runs it and reports the
+    largest violation, the number of trials and whether every violation is
+    <= 0. A NaN violation is reported as the worst and fails the check.
+    """
+
+    def register(gen):
+        def run(ctx: _Ctx) -> CheckResult:
+            trials = gen(ctx)
+            violations = []
+            try:
+                while True:
+                    violations.append(float(next(trials)))
+            except StopIteration as done:
+                recorded = done.value or {}
+            worst = (math.nan if any(map(math.isnan, violations))
+                     else max(violations, default=-math.inf))
+            return CheckResult(name, worst <= 0, worst, len(violations), recorded)
+
+        ALL_CHECKS[name] = run
+        return gen
+
+    return register
+
+
+@_check("normalization")
+def _normalization(ctx: _Ctx):
     one = testfns.Monomial(alpha=(0,))
-    worst = -math.inf
-    trials = 0
     for spec in (FIX_A3, FIX_B, FIX_C):
         validated = _fixture(spec)
         for n in (16, 64, 256, 1024, 4096):
@@ -403,15 +437,12 @@ def _check_normalization(ctx: _Ctx) -> CheckResult:
             geom = build_slice(validated, n)
             res = slice_mean_quadrature(geom, one)
             slack = max(res.err_estimate, 1e-12)
-            worst = max(worst, abs(res.value - 1.0) - slack)
-            trials += 1
-    return CheckResult("normalization", worst <= 0, worst, trials)
+            yield abs(res.value - 1.0) - slack
 
 
-def _check_constant_limit(ctx: _Ctx) -> CheckResult:
+@_check("constant_limit")
+def _constant_limit(ctx: _Ctx):
     n = 10**6
-    worst = -math.inf
-    trials = 0
     for k in (1, 2, 3):
         for m in (1, 2):
             q = np.zeros((m, k + m))
@@ -421,9 +452,7 @@ def _check_constant_limit(ctx: _Ctx) -> CheckResult:
             geom = build_slice(validated, n)
             got = math.exp(geom.log_prefactor)
             want = (2.0 * math.pi) ** (-k / 2.0)
-            worst = max(worst, abs(got - want) / want - 1e-3)
-            trials += 1
-    return CheckResult("constant_limit", worst <= 0, worst, trials)
+            yield abs(got - want) / want - 1e-3
 
 
 def _det(chol: np.ndarray) -> float:
@@ -431,10 +460,9 @@ def _det(chol: np.ndarray) -> float:
     return math.exp(float(np.sum(np.log(np.diag(chol)))))
 
 
-def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
+@_check("determinant_limit")
+def _determinant_limit(ctx: _Ctx):
     rng = ctx.rng(3)
-    worst = -math.inf
-    trials = 0
     max_err_below = {}
     for _ in range(20):
         validated = random_validated(rng)
@@ -445,52 +473,44 @@ def _check_determinant_limit(ctx: _Ctx) -> CheckResult:
             # det_inf by construction and test nothing
             m_top = kernel_onb(truncated_matrix(validated.problem, n))[: validated.k]
             det_n = math.sqrt(np.linalg.det(m_top @ m_top.T))
-            worst = max(worst, abs(det_n - det_inf) - 1e-12)
-            trials += 1
+            yield abs(det_n - det_inf) - 1e-12
         for n in range(validated.n_min, 50, 5):
             err = abs(_det(build_slice(validated, n).chol) - det_inf)
             max_err_below[n] = max(max_err_below.get(n, 0.0), err)
-    recorded = {
+    return {
         "pre_stabilization_max_abs_err": {str(n): max_err_below[n] for n in sorted(max_err_below)}
     }
-    return CheckResult("determinant_limit", worst <= 0, worst, trials, recorded)
 
 
-def _check_preimage_inequality(ctx: _Ctx) -> CheckResult:
+@_check("preimage_norm_inequality")
+def _preimage_inequality(ctx: _Ctx):
     rng = ctx.rng(4)
-    worst = -math.inf
-    trials = 0
-    while trials < 100:
+    for _ in range(100):
         validated = random_validated(rng)
         n = int(rng.integers(validated.n_min, 50))
         chol_n = build_slice(validated, n).chol
         x = rng.standard_normal(validated.k)
         lhs = preimage_norm_sq(chol_n, x)
         rhs = preimage_norm_sq(validated.chol, x)
-        worst = max(worst, rhs - lhs - 1e-12)
-        trials += 1
-    return CheckResult("preimage_norm_inequality", worst <= 0, worst, trials)
+        yield rhs - lhs - 1e-12
 
 
-def _check_dominating_bound(ctx: _Ctx) -> CheckResult:
+@_check("dominating_bound")
+def _dominating_bound(ctx: _Ctx):
     rng = ctx.rng(5)
-    worst = -math.inf
-    trials = 10_000
-    for _ in range(trials):
+    for _ in range(10_000):
         k = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         n = int(rng.integers(k + m + 3, 10_000))
         y = float(rng.uniform(0.0, n))
         lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
         rhs = math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12
-        worst = max(worst, lhs - rhs)
-    return CheckResult("dominating_bound", worst <= 0, worst, trials)
+        yield lhs - rhs
 
 
-def _check_char_fn_identity(ctx: _Ctx) -> CheckResult:
+@_check("characteristic_function_identity")
+def _char_fn_identity(ctx: _Ctx):
     rng = ctx.rng(6)
-    worst = -math.inf
-    trials = 0
     for _ in range(20):
         validated = random_validated(rng)
         g = validated.g
@@ -499,33 +519,25 @@ def _check_char_fn_identity(ctx: _Ctx) -> CheckResult:
             quad_form = float(t @ g @ t)
             proj_norm = kernel_projection_norm_sq(validated, t)
             slack = min(1e-10, 1e-12 + 1e-10 * abs(quad_form))
-            worst = max(worst, abs(quad_form - proj_norm) - slack)
-            trials += 1
-    return CheckResult("characteristic_function_identity", worst <= 0, worst, trials)
+            yield abs(quad_form - proj_norm) - slack
 
 
-def _check_mc_determinism(ctx: _Ctx) -> CheckResult:
+@_check("mc_determinism")
+def _mc_determinism(ctx: _Ctx):
     validated = _fixture(FIX_B)
     geom = build_slice(validated, 64)
     fn = CosLinear(t=[1.0])
     cfg = McConfig(n_samples=40_000, seed=ctx.seed % 2**64, shard_size=4096)
-    runs = [
-        slice_mean_mc(geom, fn, cfg, threads=1),
-        slice_mean_mc(geom, fn, cfg, threads=1),
-        slice_mean_mc(geom, fn, cfg, threads=4),
-    ]
-    worst = max(
-        abs(runs[0].value - runs[1].value),
-        abs(runs[0].value - runs[2].value),
-        abs(runs[0].err_estimate - runs[2].err_estimate),
-    )
-    return CheckResult("mc_determinism", worst == 0.0, worst, len(runs))
+    base, again, threaded = (slice_mean_mc(geom, fn, cfg, threads=t) for t in (1, 1, 4))
+    # bit-identical or failed: any difference is a violation
+    yield abs(base.value - again.value)
+    yield abs(base.value - threaded.value)
+    yield abs(base.err_estimate - threaded.err_estimate)
 
 
-def _check_factor_invariance(ctx: _Ctx) -> CheckResult:
+@_check("factor_invariance")
+def _factor_invariance(ctx: _Ctx):
     rng = ctx.rng(8)
-    worst = -math.inf
-    trials = 0
     for spec, fn in ((FIX_B, CosLinear(t=[0.9])), (FIX_C, CosLinear(t=[0.8, -0.5]))):
         validated = _fixture(spec)
         geom = build_slice(validated, 128)
@@ -535,15 +547,12 @@ def _check_factor_invariance(ctx: _Ctx) -> CheckResult:
             geom_rot = dataclasses.replace(geom, chol=geom.chol @ o)
             rot = slice_mean_quadrature(geom_rot, fn)
             slack = 10.0 * max(base.err_estimate, 1e-15)
-            worst = max(worst, abs(rot.value - base.value) - slack)
-            trials += 1
-    return CheckResult("factor_invariance", worst <= 0, worst, trials)
+            yield abs(rot.value - base.value) - slack
 
 
-def _check_basis_invariance(ctx: _Ctx) -> CheckResult:
+@_check("basis_invariance")
+def _basis_invariance(ctx: _Ctx):
     rng = ctx.rng(9)
-    worst = -math.inf
-    trials = 0
     for _ in range(10):
         validated = random_validated(rng)
         problem = validated.problem
@@ -553,14 +562,11 @@ def _check_basis_invariance(ctx: _Ctx) -> CheckResult:
         k = problem.k
         g1 = basis[:k] @ basis[:k].T
         g2 = alt[:k] @ alt[:k].T
-        worst = max(worst, float(np.abs(g1 - g2).max()) - 1e-12)
-        trials += 1
-    return CheckResult("basis_invariance", worst <= 0, worst, trials)
+        yield float(np.abs(g1 - g2).max()) - 1e-12
 
 
-def _check_padding_invariance(ctx: _Ctx) -> CheckResult:
-    worst = -math.inf
-    trials = 0
+@_check("padding_invariance")
+def _padding_invariance(ctx: _Ctx):
     fn = CosLinear(t=[1.0])
     for spec in (FIX_A3, FIX_B):
         base = _fixture(spec)
@@ -572,23 +578,19 @@ def _check_padding_invariance(ctx: _Ctx) -> CheckResult:
                 k=spec["k"],
             )
         )
-        worst = max(
-            worst,
-            float(np.abs(np.pad(base.z0, (0, padded.z0.size - base.z0.size)) - padded.z0).max()),
-            float(abs(base.n_min - padded.n_min)),
-        )
         n = 64
         v1 = slice_mean_quadrature(build_slice(base, n), fn).value
         v2 = slice_mean_quadrature(build_slice(padded, n), fn).value
-        worst = max(worst, abs(v1 - v2) - 1e-12)
-        trials += 1
-    return CheckResult("padding_invariance", worst <= 0, worst, trials)
+        yield max(
+            float(np.abs(np.pad(base.z0, (0, padded.z0.size - base.z0.size)) - padded.z0).max()),
+            float(abs(base.n_min - padded.n_min)),
+            abs(v1 - v2) - 1e-12,
+        )
 
 
-def _check_z0n_convergence(ctx: _Ctx) -> CheckResult:
+@_check("z0n_convergence")
+def _z0n_convergence(ctx: _Ctx):
     rng = ctx.rng(10)
-    worst = -math.inf
-    trials = 0
     for _ in range(10):
         validated = random_validated(rng)
         problem = validated.problem
@@ -600,64 +602,49 @@ def _check_z0n_convergence(ctx: _Ctx) -> CheckResult:
             padded[: zn.size] = zn
             errs.append(float(np.linalg.norm(padded - z0)))
         diffs = np.diff(np.asarray(errs))
-        worst = max(worst, float(diffs.max(initial=-math.inf)) - 1e-12)
-        worst = max(worst, errs[-1] - 1e-12)
-        trials += 1
-    return CheckResult("z0n_convergence", worst <= 0, worst, trials)
+        yield max(float(diffs.max(initial=-math.inf)), errs[-1]) - 1e-12
 
 
-def _check_z0_orthogonality(ctx: _Ctx) -> CheckResult:
+@_check("z0_orthogonality")
+def _z0_orthogonality(ctx: _Ctx):
     rng = ctx.rng(11)
-    worst = -math.inf
-    trials = 0
     fixtures = [_fixture(s) for s in (FIX_A3, FIX_B, FIX_C)]
     fixtures += [random_validated(rng) for _ in range(5)]
     for validated in fixtures:
         problem = validated.problem
         basis = kernel_onb(truncated_matrix(problem, problem.width))
         inner = basis.T @ validated.z0[: problem.width]
-        worst = max(worst, float(np.abs(inner).max(initial=0.0)) - 1e-10)
-        trials += 1
-    return CheckResult("z0_orthogonality", worst <= 0, worst, trials)
+        yield float(np.abs(inner).max(initial=0.0)) - 1e-10
 
 
-def _check_exact_moments(ctx: _Ctx) -> CheckResult:
-    worst = -math.inf
-    trials = 0
+@_check("exact_moments")
+def _exact_moments(ctx: _Ctx):
     fix_a3 = _fixture(FIX_A3)
     fix_b = _fixture(FIX_B)
     x1 = testfns.Monomial(alpha=(1,))
     x2 = testfns.Monomial(alpha=(2,))
     for n in (16, 64, 256, 1024, 4096):
         got = slice_mean_quadrature(build_slice(fix_a3, n), x2).value
-        worst = max(worst, abs(got - (n - 9.0) / (n - 1.0)) - 1e-8)
-        trials += 1
+        yield abs(got - (n - 9.0) / (n - 1.0)) - 1e-8
     for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         geom = build_slice(fix_b, n)
-        worst = max(worst, abs(slice_mean_quadrature(geom, x1).value - 0.6) - 1e-10)
-        worst = max(worst, abs(slice_mean_quadrature(geom, x2).value - 1.0) - 1e-8)
-        trials += 2
-    return CheckResult("exact_moments", worst <= 0, worst, trials)
+        yield abs(slice_mean_quadrature(geom, x1).value - 0.6) - 1e-10
+        yield abs(slice_mean_quadrature(geom, x2).value - 1.0) - 1e-8
 
 
-def _check_weight_shape(ctx: _Ctx) -> CheckResult:
-    worst = -math.inf
-    trials = 0
+@_check("weight_shape")
+def _weight_shape(ctx: _Ctx):
     for spec, n in ((FIX_A3, 64), (FIX_B, 256), (FIX_C, 32)):
         validated = _fixture(spec)
         geom = build_slice(validated, n)
         r = np.linspace(0.0, geom.a_z, 2001)
         w = weight(geom, r)
-        worst = max(worst, float(np.diff(w).max()) - 1e-15)
-        worst = max(worst, abs(w[0] - 1.0), w[-1])
-        trials += 1
-    return CheckResult("weight_shape", worst <= 0, worst, trials)
+        yield max(float(np.diff(w).max()) - 1e-15, abs(w[0] - 1.0), w[-1])
 
 
-def _check_known_limit_identity(ctx: _Ctx) -> CheckResult:
+@_check("known_limit_identity")
+def _known_limit_identity(ctx: _Ctx):
     rng = ctx.rng(13)
-    worst = -math.inf
-    trials = 0
     for spec in (FIX_A0, FIX_B, FIX_C):
         validated = _fixture(spec)
         for _ in range(7):
@@ -665,9 +652,7 @@ def _check_known_limit_identity(ctx: _Ctx) -> CheckResult:
             via_gram = known_limit(CosLinear(t=t), validated)
             proj_sq = kernel_projection_norm_sq(validated, t)
             via_proj = math.exp(-0.5 * proj_sq) * math.cos(float(t @ validated.z0_cyl))
-            worst = max(worst, abs(via_gram - via_proj) - 1e-10)
-            trials += 1
-    return CheckResult("known_limit_identity", worst <= 0, worst, trials)
+            yield abs(via_gram - via_proj) - 1e-10
 
 
 CROSS_ORACLE_FUNCTIONS = [
@@ -680,9 +665,11 @@ CROSS_ORACLE_FUNCTIONS = [
 CROSS_ORACLE_NS = [16, 32, 64, 128, 256]
 
 
-def _check_cross_oracle(ctx: _Ctx) -> CheckResult:
+@_check("cross_oracle")
+def _cross_oracle(ctx: _Ctx):
+    # a trial's violation is the count of disagreements so far beyond the
+    # allowance of 2: the largest is the final count less 2
     disagreements = 0
-    trials = 0
     for salt, spec in enumerate((FIX_A3, FIX_B)):
         validated = _fixture(spec)
         for fi, fn in enumerate(CROSS_ORACLE_FUNCTIONS):
@@ -701,14 +688,12 @@ def _check_cross_oracle(ctx: _Ctx) -> CheckResult:
                 window = 4.0 * (quad.err_estimate + mc.err_estimate)
                 if abs(quad.value - mc.value) > window:
                     disagreements += 1
-                trials += 1
-    return CheckResult("cross_oracle", disagreements <= 2, float(disagreements - 2), trials)
+                yield disagreements - 2
 
 
-def _check_mc_vs_known_limit(ctx: _Ctx) -> CheckResult:
+@_check("mc_vs_known_limit")
+def _mc_vs_known_limit(ctx: _Ctx):
     rng = ctx.rng(15)
-    worst = -math.inf
-    trials = 0
     for spec in (FIX_A0, FIX_B):
         validated = _fixture(spec)
         for _ in range(10):
@@ -720,30 +705,7 @@ def _check_mc_vs_known_limit(ctx: _Ctx) -> CheckResult:
                 fn,
                 McConfig(n_samples=1_000_000, seed=int(rng.integers(0, 2**63))),
             )
-            worst = max(worst, abs(mc.value - closed) - 4.0 * mc.err_estimate)
-            trials += 1
-    return CheckResult("mc_vs_known_limit", worst <= 0, worst, trials)
-
-
-ALL_CHECKS = {
-    "normalization": _check_normalization,
-    "constant_limit": _check_constant_limit,
-    "determinant_limit": _check_determinant_limit,
-    "preimage_norm_inequality": _check_preimage_inequality,
-    "dominating_bound": _check_dominating_bound,
-    "characteristic_function_identity": _check_char_fn_identity,
-    "mc_determinism": _check_mc_determinism,
-    "factor_invariance": _check_factor_invariance,
-    "basis_invariance": _check_basis_invariance,
-    "padding_invariance": _check_padding_invariance,
-    "z0n_convergence": _check_z0n_convergence,
-    "z0_orthogonality": _check_z0_orthogonality,
-    "exact_moments": _check_exact_moments,
-    "weight_shape": _check_weight_shape,
-    "known_limit_identity": _check_known_limit_identity,
-    "cross_oracle": _check_cross_oracle,
-    "mc_vs_known_limit": _check_mc_vs_known_limit,
-}
+            yield abs(mc.value - closed) - 4.0 * mc.err_estimate
 
 
 def run_verify(cfg: dict, threads: int = 1, seed=None) -> VerifyReport:

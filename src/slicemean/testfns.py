@@ -35,6 +35,11 @@ class TestFunction:
         hypothesis of the convergence sweep."""
         return self.lp_class != LP_ONE
 
+    def fits(self, k: int) -> bool:
+        """Whether the parameters suit a function on R^k: a direction or a
+        center has k entries, a monomial at most k exponents."""
+        return True
+
     def eval(self, x):
         raise NotImplementedError
 
@@ -54,6 +59,9 @@ class CosLinear(TestFunction):
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
 
+    def fits(self, k: int) -> bool:
+        return self.t.size == k
+
     def eval(self, x):
         return np.cos(_last_axis_dot(x, self.t))
 
@@ -67,6 +75,9 @@ class SinLinear(TestFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
+
+    def fits(self, k: int) -> bool:
+        return self.t.size == k
 
     def eval(self, x):
         return np.sin(_last_axis_dot(x, self.t))
@@ -84,6 +95,9 @@ class Monomial(TestFunction):
         if any(a < 0 for a in alpha):
             raise ValueError("monomial exponents must be nonnegative")
         object.__setattr__(self, "alpha", alpha)
+
+    def fits(self, k: int) -> bool:
+        return len(self.alpha) <= k
 
     @property
     def degree(self) -> int:
@@ -113,6 +127,9 @@ class IndicatorBall(TestFunction):
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
 
+    def fits(self, k: int) -> bool:
+        return self.center.size == k
+
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         dist_sq = np.sum((x - self.center) ** 2, axis=-1)
@@ -130,6 +147,9 @@ class BoundedCutoff(TestFunction):
     def __post_init__(self):
         if self.cap <= 0:
             raise ValueError("cap must be positive")
+
+    def fits(self, k: int) -> bool:
+        return self.inner.fits(k)
 
     def eval(self, x):
         return np.clip(self.inner.eval(x), -self.cap, self.cap)

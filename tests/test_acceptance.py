@@ -238,4 +238,5 @@ def test_criterion_11_determinism(tmp_path):
 def test_verify_check_passes(verify_check, name):
     """Every verify check passes at the acceptance seed."""
     result, elapsed = verify_check(name)
+    assert result.name == name
     _report(f"verify check {name}", result.passed, _summary(result, elapsed))

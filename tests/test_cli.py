@@ -331,6 +331,29 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value
     assert err.startswith("config error") and f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("command", ["slice", "limit", "sweep"])
+@pytest.mark.parametrize(
+    "function",
+    [
+        {"kind": "cos_linear", "params": {"t": [1.0, 2.0]}},
+        {"kind": "sin_linear", "params": {"t": []}},
+        {"kind": "monomial", "params": {"alpha": [1, 1]}},
+        {"kind": "indicator_ball", "params": {"center": [0.0, 0.0], "radius": 1.0}},
+        {"kind": "bounded_cutoff",
+         "params": {"inner": {"kind": "cos_linear", "params": {"t": [1.0, 0.0]}}, "cap": 0.5}},
+    ],
+    ids=["cos_t", "sin_t", "monomial_alpha", "ball_center", "cutoff_inner"],
+)
+def test_function_dimension_must_match_k(tmp_path, capsys, command, function):
+    # k = 1 here: t and center need one entry, alpha at most one; a wrong
+    # length raised a traceback (exit 1) or, for a ball, broadcast silently
+    cfg = write_config(tmp_path, function=function)
+    args = [command, "--config", cfg] + (["--n", "64"] if command == "slice" else [])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "does not fit problem.k = 1" in err
+
+
 def test_csv_files_match_printed_tables(tmp_path):
     # one formatter makes both: the sweep table printed without --csv is the
     # --csv file, and counterexample prints the table it writes

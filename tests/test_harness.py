@@ -88,15 +88,20 @@ class TestConfigValidation:
                 AffineProblem(q=[[3.0, 4.0]], w0=[5.0], k=value)
 
     @pytest.mark.parametrize(
-        "name", ["quad.radial_nodes", "quad.angular_nodes", "verify.tol_scale", "counterexample.nodes"]
+        "name",
+        ["quad.radial_nodes", "quad.angular_nodes", "verify.tol_scale", "counterexample.nodes",
+         "outputs.csv_path"],
     )
     def test_removed_keys_are_unknown(self, name):
         # fixed in the code now: quadrature starts at 128 radial nodes and 64
-        # directions, the probe at 48 nodes a panel, and every verify bound is fixed
+        # directions, the probe at 48 nodes a panel, and every verify bound is
+        # fixed; output paths come from --csv and --svg only, so the whole
+        # outputs section is unknown
         section, key = name.split(".")
         cfg = config()
         cfg.setdefault(section, {})[key] = 1
-        with pytest.raises(ConfigError, match=rf"unknown key.*'{key}'"):
+        unknown = key if section in harness._SCHEMA else section
+        with pytest.raises(ConfigError, match=rf"unknown key.*'{unknown}'"):
             harness.validate_config(cfg)
 
     @pytest.mark.parametrize(
@@ -245,6 +250,62 @@ class TestEmission:
 
 class TestRunVerify:
     FAST = ["normalization", "exact_moments", "weight_shape", "padding_invariance"]
+
+    def test_registry_names_and_order(self):
+        # the report order; the acceptance suite and perfbench read the names
+        # off ALL_CHECKS itself, so only this test pins them
+        assert list(harness.ALL_CHECKS) == [
+            "normalization",
+            "constant_limit",
+            "determinant_limit",
+            "preimage_norm_inequality",
+            "dominating_bound",
+            "characteristic_function_identity",
+            "mc_determinism",
+            "factor_invariance",
+            "basis_invariance",
+            "padding_invariance",
+            "z0n_convergence",
+            "z0_orthogonality",
+            "exact_moments",
+            "weight_shape",
+            "known_limit_identity",
+            "cross_oracle",
+            "mc_vs_known_limit",
+        ]
+
+    @pytest.mark.parametrize(
+        "violations, worst, passed",
+        [
+            ([-1.0, 0.0, -2.0], 0.0, True),
+            ([-1.0, 1e-300, -2.0], 1e-300, False),
+            ([-1.0, math.nan, -2.0], math.nan, False),
+            ([math.nan], math.nan, False),
+        ],
+    )
+    def test_check_runner(self, monkeypatch, tmp_path, violations, worst, passed):
+        # the largest violation, one trial per yield, passed iff every
+        # violation is <= 0; a NaN is the worst violation, not one max() drops
+        monkeypatch.setattr(harness, "ALL_CHECKS", dict(harness.ALL_CHECKS))
+
+        @harness._check("probe")
+        def probe(ctx):
+            yield from violations
+            return {"seed": ctx.seed}
+
+        cfg = {"verify": {"checks": ["probe"]}}
+        (result,) = harness.run_verify(cfg, seed=5).checks
+        assert result.name == "probe"
+        assert result.trials == len(violations)
+        assert result.passed is passed
+        assert result.recorded == {"seed": 5}
+        if math.isnan(worst):
+            assert math.isnan(result.worst_violation)
+        else:
+            assert result.worst_violation == worst
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(path)]) == (0 if passed else 1)
 
     def test_subset_passes(self):
         report = harness.run_verify({"verify": {"checks": self.FAST}})

@@ -78,6 +78,14 @@ class TestMetadata:
         assert known_limit(Monomial(alpha=(3, 0)), fix_c) is None
         assert Monomial(alpha=(2,)).sweep_admissible
 
+    def test_fits(self):
+        # a direction or center has exactly k entries, a monomial at most k
+        for fn in (CosLinear(t=[1.0, 2.0]), SinLinear(t=[0.0, 1.0]),
+                   IndicatorBall(center=[0.0, 0.0]), BoundedCutoff(inner=CosLinear(t=[1.0, 0.0]))):
+            assert [fn.fits(k) for k in (1, 2, 3)] == [False, True, False]
+        assert [Monomial(alpha=(0, 2)).fits(k) for k in (1, 2, 3)] == [False, True, True]
+        assert CounterexampleG().fits(1)
+
 
 class TestKnownLimit:
     def test_cos_fix_b(self, fix_b):
