@@ -37,8 +37,10 @@ class NonFinite(SliceMeanError):
 
 
 class InadmissibleFunction(SliceMeanError):
-    """The test function's declared integrability class does not satisfy the
-    hypothesis needed for the requested computation."""
+    """The test function does not suit the requested computation: its
+    declared integrability class does not satisfy the hypothesis needed, or
+    its parameters (a direction, a center, monomial exponents) do not fit
+    the problem's k (see ``TestFunction.fits``)."""
 
 
 class ConfigError(SliceMeanError):

@@ -404,7 +404,8 @@ def _check(name: str):
     violation per trial (<= 0 passes); it may ``return`` a dict that the
     report records. The registered callable runs it and reports the
     largest violation, the number of trials and whether every violation is
-    <= 0. A NaN violation is reported as the worst and fails the check.
+    <= 0. A NaN violation is reported as the worst and fails the check, and
+    so does a check that yields no trial.
     """
 
     def register(gen):
@@ -418,7 +419,8 @@ def _check(name: str):
                 recorded = done.value or {}
             worst = (math.nan if any(map(math.isnan, violations))
                      else max(violations, default=-math.inf))
-            return CheckResult(name, worst <= 0, worst, len(violations), recorded)
+            passed = bool(violations) and worst <= 0
+            return CheckResult(name, passed, worst, len(violations), recorded)
 
         ALL_CHECKS[name] = run
         return gen

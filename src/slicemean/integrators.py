@@ -83,6 +83,11 @@ class IntegralResult:
     diverged: bool = False
 
 
+def _require_fit(phi: TestFunction, k: int):
+    if not phi.fits(k):
+        raise InadmissibleFunction(f"{phi} does not fit k = {k} (see TestFunction.fits)")
+
+
 def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
     u, lam = beta_radial_rule(geom.k, geom.exponent, n_radial)
     dirs, omega = sphere_directions(geom.k, angular)
@@ -111,6 +116,7 @@ def slice_mean_quadrature(
     previous rule back, so each refinement's coarse pass is the previous
     fine pass and is not evaluated again.
     """
+    _require_fit(phi, geom.k)
     if geom.k > 3:
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
@@ -196,6 +202,7 @@ def slice_mean_mc(
     draw at any N. Works for any k.
     """
     k = geom.k
+    _require_fit(phi, k)
     df = geom.n - geom.m - k
 
     def draw(rng, b):
@@ -291,6 +298,7 @@ def gaussian_limit(
     axis (k <= 3), its error estimate the difference against 32 nodes;
     otherwise it is Monte Carlo with the divergence detector.
     """
+    _require_fit(phi, validated.k)
     mu = validated.z0_cyl
     if mc is not None:
         return _gaussian_mc(mu, validated.chol, phi, mc)
@@ -324,8 +332,8 @@ def _probe_pass(z: float, r: float, nodes: int) -> float:
     # z x ~ 710 while the quotient by 1 + x^2 is still representable
     with np.errstate(over="ignore"):
         for lo, hi in zip(edges[:-1], edges[1:]):
+            x, w = gauss_legendre_panel(lo, hi, nodes)
             for sign in (1.0, -1.0):
-                x, w = gauss_legendre_panel(lo, hi, nodes)
                 vals = np.exp(z * (sign * x) - 0.5 * z * z - np.log1p(x * x))
                 total += float(w @ vals)
     value = total / math.sqrt(2.0 * math.pi)

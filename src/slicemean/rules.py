@@ -25,9 +25,27 @@ Townsend, SISC 35, 2013), so each weight is accurate in relative terms,
 however small. The zeroth moment is normalized to 1: the weights are the
 probabilities of the Beta distribution placed on the nodes and sum to 1
 for every exponent.
+
+Every rule here depends only on its key, never on the problem or the
+function: the radial rule on (k, exponent, node count), the direction set
+on (k, direction count), the Gauss-Hermite and Gauss-Legendre nodes on the
+node count. So each is built once per process and kept in a
+``functools.lru_cache`` on a private builder, which marks the arrays it
+returns read-only: every caller gets the same arrays, and an in-place
+write to one raises instead of corrupting the rule for the next caller.
+The public names stay plain functions that call their builder. Two threads
+that miss on one key (sweep rows run on a thread pool) both build the
+same value, bit for bit, so whichever insert lands last is harmless.
+
+Each memo has a fixed cap, with the least recently used rule dropped
+first. At the node counts the library asks for (at most 512 radial nodes,
+8 KB a rule; at most 256 directions, 8 KB a set; at most 96 Hermite or
+Legendre nodes, 1.5 KB a rule) full caches hold about 4.6 MB.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +54,20 @@ from scipy.linalg import lapack
 # Values below 2**448 leave room for sums of their squares over any node
 # count that fits in memory.
 _RESCALE_BITS = 448.0
+
+#: Entries each memo keeps. Quadrature takes at most four radial rules (64
+#: to 512 nodes) per (k, N), so the radial cap holds 128 slices' rules; the
+#: direction sets, Hermite and Legendre rules the library asks for number
+#: 12, 2 and 3.
+_RADIAL_RULES = 512
+_DIRECTION_SETS = 64
+_GAUSS_RULES = 16
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def beta_radial_rule(k: int, exponent: float, n_nodes: int):
@@ -49,14 +81,18 @@ def beta_radial_rule(k: int, exponent: float, n_nodes: int):
     down to the tail weights far below 1e-16; weights below the smallest
     double come back as 0. The relative error of a weight grows like
     n_nodes^2 * eps only near u = 1, where the node itself carries an
-    absolute error of order eps.
+    absolute error of order eps. The arrays are shared and read-only.
     """
-    if n_nodes < 1:
+    return _beta_radial_rule(k, float(exponent), int(n_nodes))
+
+
+@lru_cache(maxsize=_RADIAL_RULES)
+def _beta_radial_rule(k, exponent, n):
+    if n < 1:
         raise ValueError("need at least one radial node")
-    p, q = k / 2.0, float(exponent) + 1.0
+    p, q = k / 2.0, exponent + 1.0
     if not (p > 0.0 and 0.0 < q < np.inf):
         raise ValueError("Beta parameters k/2 and exponent + 1 must be positive and finite")
-    n = int(n_nodes)
     # zeta_{2j+1} and zeta_{2j+2} from the canonical moments of Beta(p, q);
     # the Jacobi matrix has diagonal zeta_{2j} + zeta_{2j+1} and off-diagonal
     # sqrt(zeta_{2j+1} zeta_{2j+2}), all sums and products of positives.
@@ -68,13 +104,13 @@ def beta_radial_rule(k: int, exponent: float, n_nodes: int):
     diag = zeta_odd.copy()
     diag[1:] += zeta_even[:-1]
     if n == 1:
-        return diag, np.ones(1)
+        return _read_only(diag, np.ones(1))
     off = np.sqrt(zeta_odd[:-1] * zeta_even[:-1])
     desc, _, _, info = lapack.dpteqr(diag, off, np.zeros((0, 0)))
     if info != 0:
         raise np.linalg.LinAlgError(f"dpteqr failed with info = {info}")
     u = desc[::-1].copy()
-    return u, _christoffel_weights(u, diag, off)
+    return _read_only(u, _christoffel_weights(u, diag, off))
 
 
 def _christoffel_weights(u, diag, off):
@@ -133,14 +169,21 @@ def sphere_directions(k: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarra
            with side = max(4, round(sqrt(angular_nodes))) nodes each, so
            ``angular_nodes`` is the direction budget and side^2 directions
            are returned.
+
+    The arrays are shared and read-only.
     """
+    return _sphere_directions(k, angular_nodes)
+
+
+@lru_cache(maxsize=_DIRECTION_SETS)
+def _sphere_directions(k, angular_nodes):
     if k == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        return _read_only(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5]))
     if k == 2:
         n = int(angular_nodes)
         theta = 2.0 * np.pi * np.arange(n) / n
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        return pts, np.full(n, 1.0 / n)
+        return _read_only(pts, np.full(n, 1.0 / n))
     if k == 3:
         n_polar = n_az = max(4, int(round(np.sqrt(int(angular_nodes)))))
         c, w_polar = leggauss(n_polar)
@@ -154,13 +197,13 @@ def sphere_directions(k: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarra
             pts[sl, 1] = sin_polar[i] * np.sin(phi)
             pts[sl, 2] = c[i]
             wts[sl] = 0.5 * w_polar[i] / n_az
-        return pts, wts
+        return _read_only(pts, wts)
     raise ValueError(f"no deterministic direction rule for k = {k}")
 
 
 def gauss_legendre_panel(lo: float, hi: float, n_nodes: int):
     """Gauss-Legendre nodes/weights mapped to the interval [lo, hi]."""
-    x, w = leggauss(n_nodes)
+    x, w = _leggauss(int(n_nodes))
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -169,7 +212,17 @@ def gauss_hermite_prob(n_nodes: int):
     """Probabilists' Gauss-Hermite rule normalized to total weight 1.
 
     Integrates polynomials of degree <= 2 n_nodes - 1 exactly against the
-    standard normal density.
+    standard normal density. The arrays are shared and read-only.
     """
-    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
-    return x, w / w.sum()
+    return _gauss_hermite_prob(int(n_nodes))
+
+
+@lru_cache(maxsize=_GAUSS_RULES)
+def _gauss_hermite_prob(n):
+    x, w = np.polynomial.hermite_e.hermegauss(n)
+    return _read_only(x, w / w.sum())
+
+
+@lru_cache(maxsize=_GAUSS_RULES)
+def _leggauss(n):
+    return _read_only(*leggauss(n))

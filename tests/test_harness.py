@@ -281,11 +281,13 @@ class TestRunVerify:
             ([-1.0, 1e-300, -2.0], 1e-300, False),
             ([-1.0, math.nan, -2.0], math.nan, False),
             ([math.nan], math.nan, False),
+            ([], -math.inf, False),
         ],
     )
     def test_check_runner(self, monkeypatch, tmp_path, violations, worst, passed):
-        # the largest violation, one trial per yield, passed iff every
-        # violation is <= 0; a NaN is the worst violation, not one max() drops
+        # the largest violation, one trial per yield, passed iff there is a
+        # trial and every violation is <= 0; a NaN is the worst violation,
+        # not one max() drops
         monkeypatch.setattr(harness, "ALL_CHECKS", dict(harness.ALL_CHECKS))
 
         @harness._check("probe")

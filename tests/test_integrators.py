@@ -12,6 +12,7 @@ from slicemean import (
     CosLinear,
     CounterexampleG,
     InadmissibleFunction,
+    IndicatorBall,
     McConfig,
     Monomial,
     NonFinite,
@@ -290,6 +291,26 @@ class TestGaussianLimit:
             fix_b, CosLinear(t=[0.5]), McConfig(2_000_000, seed=14, shard_size=8192)
         )
         assert not res.diverged
+
+
+_EVALUATORS = {
+    "quadrature": lambda v, fn: slice_mean_quadrature(build_slice(v, 64), fn),
+    "mc": lambda v, fn: slice_mean_mc(build_slice(v, 64), fn, McConfig(n_samples=100)),
+    "gaussian_limit": gaussian_limit,
+}
+
+
+@pytest.mark.parametrize("evaluator", list(_EVALUATORS))
+@pytest.mark.parametrize("case", ["ball_center_r1_on_k2", "direction_r2_on_k1"])
+def test_evaluators_refuse_function_that_does_not_fit(fix_b, fix_c, evaluator, case):
+    # a center in R^1 would broadcast to [1, 1] on the k = 2 problem and give
+    # a wrong mean silently; a direction in R^2 fails inside numpy on k = 1
+    validated, fn = {
+        "ball_center_r1_on_k2": (fix_c, IndicatorBall(center=[1.0], radius=1.0)),
+        "direction_r2_on_k1": (fix_b, CosLinear(t=[1.0, 2.0])),
+    }[case]
+    with pytest.raises(InadmissibleFunction, match="does not fit k"):
+        _EVALUATORS[evaluator](validated, fn)
 
 
 class TestCounterexampleProbe:

@@ -1,15 +1,34 @@
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_jacobi
 
+from slicemean import (
+    AffineProblem,
+    CosLinear,
+    QuadConfig,
+    build_slice,
+    rules,
+    slice_mean_quadrature,
+    validate,
+)
 from slicemean.rules import (
     beta_radial_rule,
     gauss_hermite_prob,
     gauss_legendre_panel,
     sphere_directions,
+)
+
+MEMOS = (
+    rules._beta_radial_rule,
+    rules._sphere_directions,
+    rules._gauss_hermite_prob,
+    rules._leggauss,
 )
 
 
@@ -121,3 +140,93 @@ class TestGaussRules:
         assert_allclose((w * x**4).sum(), 3.0, rtol=1e-12)
         # characteristic function of the standard normal at t = 1
         assert_allclose((w * np.cos(x)).sum(), np.exp(-0.5), rtol=1e-12)
+
+
+class TestMemo:
+    RULES = {
+        "beta_radial_rule": lambda: beta_radial_rule(2, 7.5, 64),
+        "sphere_directions_k1": lambda: sphere_directions(1, 32),
+        "sphere_directions_k2": lambda: sphere_directions(2, 64),
+        "sphere_directions_k3": lambda: sphere_directions(3, 64),
+        "gauss_hermite_prob": lambda: gauss_hermite_prob(32),
+        "leggauss": lambda: rules._leggauss(48),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_arrays_are_read_only(self, rule):
+        for a in self.RULES[rule]():
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_repeat_call_returns_same_arrays(self, rule):
+        first, again = self.RULES[rule](), self.RULES[rule]()
+        assert all(a is b for a, b in zip(first, again, strict=True))
+
+    def test_exponent_type_shares_one_entry(self):
+        rules._beta_radial_rule.cache_clear()
+        u, w = beta_radial_rule(1, 15, 64)
+        u2, w2 = beta_radial_rule(1, np.float64(15.0), 64)
+        assert u2 is u and w2 is w
+        info = rules._beta_radial_rule.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+    def test_distinct_exponents_stay_within_cap(self):
+        try:
+            for i in range(10_000):
+                beta_radial_rule(1, 0.5 + i, 2)
+            assert rules._beta_radial_rule.cache_info().currsize <= rules._RADIAL_RULES
+        finally:
+            rules._beta_radial_rule.cache_clear()
+
+    @pytest.mark.parametrize(
+        "q, w0, t",
+        [
+            ([[3.0, 4.0]], [5.0], [0.9]),
+            ([[1.0, 1.0, 1.0, 1.0]], [2.0], [0.8, -0.5]),
+            ([[1.0, 1.0, 1.0, 1.0, 1.0]], [2.0], [0.6, -0.3, 0.4]),
+        ],
+        ids=["k1", "k2", "k3"],
+    )
+    def test_quadrature_bit_identical_after_clear(self, q, w0, t):
+        validated = validate(AffineProblem(q=q, w0=w0, k=len(t)))
+        geom, fn, cfg = build_slice(validated, 64), CosLinear(t=t), QuadConfig(1e-11)
+        warm = slice_mean_quadrature(geom, fn, cfg)
+        for memo in MEMOS:
+            memo.cache_clear()
+        cold = slice_mean_quadrature(geom, fn, cfg)
+        assert (cold.value, cold.err_estimate) == (warm.value, warm.err_estimate)
+
+    def test_racing_threads_get_equal_arrays(self):
+        rules._beta_radial_rule.cache_clear()
+        barrier = threading.Barrier(2, timeout=30)
+        results = [None, None]
+
+        def build(i):
+            barrier.wait()
+            results[i] = beta_radial_rule(3, 1234.5, 512)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        (u0, w0), (u1, w1) = results
+        assert np.array_equal(u0, u1) and np.array_equal(w0, w1)
+        u, w = beta_radial_rule(3, 1234.5, 512)
+        assert np.array_equal(u, u0) and np.array_equal(w, w0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob", "gauss_legendre_panel"],
+    )
+    def test_public_names_stay_plain_functions(self, name):
+        # the benchmark's tracer wraps only plain functions; a cache object
+        # in their place would hide every call to the rule from the trace
+        assert inspect.isfunction(getattr(rules, name))
