@@ -26,12 +26,12 @@ however small. The zeroth moment is normalized to 1: the weights are the
 probabilities of the Beta distribution placed on the nodes and sum to 1
 for every exponent.
 
-Every rule here depends only on its key, never on the problem or the
-function: the radial rule on (k, exponent, node count), the direction set
-on (k, direction count), the Gauss-Hermite and Gauss-Legendre nodes on the
-node count. So each is built once per process and kept in a
-``functools.lru_cache`` on a private builder, which marks the arrays it
-returns read-only: every caller gets the same arrays, and an in-place
+The radial rule depends only on (k, exponent, node count) and the
+direction set only on (k, direction count), never on the problem or the
+function, and the slice evaluator asks for the same few keys on every
+pass of every request. So these two are built once per process and kept
+in a ``functools.lru_cache`` on a private builder, which marks the arrays
+it returns read-only: every caller gets the same arrays, and an in-place
 write to one raises instead of corrupting the rule for the next caller.
 The public names stay plain functions that call their builder. Two threads
 that miss on one key (sweep rows run on a thread pool) both build the
@@ -39,8 +39,10 @@ same value, bit for bit, so whichever insert lands last is harmless.
 
 Each memo has a fixed cap, with the least recently used rule dropped
 first. At the node counts the library asks for (at most 512 radial nodes,
-8 KB a rule; at most 256 directions, 8 KB a set; at most 96 Hermite or
-Legendre nodes, 1.5 KB a rule) full caches hold about 4.6 MB.
+8 KB a rule; at most 256 directions, 8 KB a set) full caches hold about
+4.5 MB. The Gauss-Hermite and Gauss-Legendre rules are built on each call:
+the Gaussian limit asks for two per evaluation and the counterexample
+probe one per panel, so a memo would rarely be hit.
 """
 
 from __future__ import annotations
@@ -57,11 +59,9 @@ _RESCALE_BITS = 448.0
 
 #: Entries each memo keeps. Quadrature takes at most four radial rules (64
 #: to 512 nodes) per (k, N), so the radial cap holds 128 slices' rules; the
-#: direction sets, Hermite and Legendre rules the library asks for number
-#: 12, 2 and 3.
+#: direction sets the library asks for number 12.
 _RADIAL_RULES = 512
 _DIRECTION_SETS = 64
-_GAUSS_RULES = 16
 
 
 def _read_only(*arrays):
@@ -203,7 +203,7 @@ def _sphere_directions(k, angular_nodes):
 
 def gauss_legendre_panel(lo: float, hi: float, n_nodes: int):
     """Gauss-Legendre nodes/weights mapped to the interval [lo, hi]."""
-    x, w = _leggauss(int(n_nodes))
+    x, w = leggauss(n_nodes)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -212,17 +212,7 @@ def gauss_hermite_prob(n_nodes: int):
     """Probabilists' Gauss-Hermite rule normalized to total weight 1.
 
     Integrates polynomials of degree <= 2 n_nodes - 1 exactly against the
-    standard normal density. The arrays are shared and read-only.
+    standard normal density.
     """
-    return _gauss_hermite_prob(int(n_nodes))
-
-
-@lru_cache(maxsize=_GAUSS_RULES)
-def _gauss_hermite_prob(n):
-    x, w = np.polynomial.hermite_e.hermegauss(n)
-    return _read_only(x, w / w.sum())
-
-
-@lru_cache(maxsize=_GAUSS_RULES)
-def _leggauss(n):
-    return _read_only(*leggauss(n))
+    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
+    return x, w / w.sum()

@@ -24,12 +24,7 @@ from slicemean.rules import (
     sphere_directions,
 )
 
-MEMOS = (
-    rules._beta_radial_rule,
-    rules._sphere_directions,
-    rules._gauss_hermite_prob,
-    rules._leggauss,
-)
+MEMOS = (rules._beta_radial_rule, rules._sphere_directions)
 
 
 def beta_moment(k, exponent, p):
@@ -148,8 +143,6 @@ class TestMemo:
         "sphere_directions_k1": lambda: sphere_directions(1, 32),
         "sphere_directions_k2": lambda: sphere_directions(2, 64),
         "sphere_directions_k3": lambda: sphere_directions(3, 64),
-        "gauss_hermite_prob": lambda: gauss_hermite_prob(32),
-        "leggauss": lambda: rules._leggauss(48),
     }
 
     @pytest.mark.parametrize("rule", list(RULES))
