@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .integrators import (
 from .numlin import as_matrix, kernel_onb
 from .projections import kernel_projection_norm_sq, preimage_norm_sq
 from .slice_geometry import build_slice, weight
-from .testfns import CosLinear, TestFunction, known_limit
+from .testfns import CosLinear, TestFunction, _is_finite_number, known_limit
 
 DEFAULT_SCHEDULE = [32, 64, 128, 256, 512, 1024, 2048, 4096]
 DEFAULT_SEED = 20240801
@@ -122,11 +121,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    # ints compare with floats exactly, so a 400-digit int is refused, not overflowed
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
 def _reject_unknown(section: str, given: dict, allowed: set):
     unknown = set(given) - allowed
     if unknown:
@@ -171,7 +165,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("schedule must be a list of positive integers")
     for key, values in cfg.get("counterexample", {}).items():
         if not (isinstance(values, list) and values
-                and all(_is_finite(v) and (key == "z" or v > 0) for v in values)):
+                and all(_is_finite_number(v) and (key == "z" or v > 0) for v in values)):
             raise ConfigError(f"counterexample.{key} must be a non-empty list of finite "
                               f"numbers, every R > 0; got {values!r}")
     verify = cfg.get("verify", {})
@@ -237,13 +231,8 @@ def quad_config(cfg: dict) -> QuadConfig:
 
 
 def mc_config(cfg: dict, seed: int, default_samples: int = 10_000) -> McConfig:
-    section = cfg.get("mc", {})
     try:
-        return McConfig(
-            n_samples=int(section.get("n_samples", default_samples)),
-            seed=seed,
-            shard_size=int(section.get("shard_size", 1 << 16)),
-        )
+        return McConfig(**{"n_samples": default_samples, **cfg.get("mc", {})}, seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'mc' section: {exc}") from exc
 
@@ -355,9 +344,7 @@ FIX_C = {"Q": [[1.0, 1.0, 1.0, 1.0]], "w0": [2.0], "k": 2}
 
 
 def _fixture(spec: dict) -> ValidatedProblem:
-    return validate(
-        AffineProblem(q=np.asarray(spec["Q"], dtype=float), w0=np.asarray(spec["w0"]), k=spec["k"])
-    )
+    return validate(problem_from_config({"problem": spec}))
 
 
 def random_validated(rng, s: int = 50) -> ValidatedProblem:

@@ -356,8 +356,8 @@ def counterexample_probe(z: float, r: float) -> float:
     NonFinite. Composite Gauss-Legendre on graded panels of 48 nodes,
     refined once if the half-node check misses relative 1e-8.
     """
-    if r <= 0:
-        raise ValueError("truncation radius must be positive")
+    if not (math.isfinite(z) and 0 < r < math.inf):
+        raise ValueError(f"need a finite z and a finite R > 0, got z = {z!r}, R = {r!r}")
     nodes = 48
     value = _probe_pass(z, r, nodes)
     check = _probe_pass(z, r, nodes // 2)

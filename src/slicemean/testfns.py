@@ -11,7 +11,9 @@ axes, x has shape (..., k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,57 +46,66 @@ class TestFunction:
         raise NotImplementedError
 
 
-def _last_axis_dot(x, t):
-    x = np.asarray(x, dtype=float)
-    return x @ t
+def _is_finite_number(value) -> bool:
+    # NaN fails the comparison, and a 400-digit int compares exactly; bool and
+    # str are not numbers here
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _finite_vector(values, name: str) -> np.ndarray:
+    entries = np.asarray(values, dtype=object).reshape(-1)
+    if not all(_is_finite_number(v) for v in entries):
+        raise ValueError(f"{name} must hold finite numbers, got {values!r}")
+    return entries.astype(float)
 
 
 @dataclass(frozen=True)
-class CosLinear(TestFunction):
+class _LinearWave(TestFunction):
+    """wave(<t, x>) for a direction t of k entries; subclasses set the wave, a
+    numpy ufunc (not a descriptor, so it does not bind as a method)."""
+
+    t: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", _finite_vector(self.t, "t"))
+
+    def fits(self, k: int) -> bool:
+        return self.t.size == k
+
+    def eval(self, x):
+        return self.wave(np.asarray(x, dtype=float) @ self.t)
+
+
+@dataclass(frozen=True)
+class CosLinear(_LinearWave):
     """cos(<t, x>)."""
 
-    t: np.ndarray = field(default_factory=lambda: np.ones(1))
     kind = "cos_linear"
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
-
-    def fits(self, k: int) -> bool:
-        return self.t.size == k
-
-    def eval(self, x):
-        return np.cos(_last_axis_dot(x, self.t))
+    wave = np.cos
 
 
 @dataclass(frozen=True)
-class SinLinear(TestFunction):
+class SinLinear(_LinearWave):
     """sin(<t, x>)."""
 
-    t: np.ndarray = field(default_factory=lambda: np.ones(1))
     kind = "sin_linear"
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(-1))
-
-    def fits(self, k: int) -> bool:
-        return self.t.size == k
-
-    def eval(self, x):
-        return np.sin(_last_axis_dot(x, self.t))
+    wave = np.sin
 
 
 @dataclass(frozen=True)
 class Monomial(TestFunction):
     """Product of coordinate powers x_1^a_1 ... x_k^a_k."""
 
-    alpha: tuple = (2,)
+    alpha: tuple
     kind = "monomial"
 
     def __post_init__(self):
-        alpha = tuple(int(a) for a in self.alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError("monomial exponents must be nonnegative")
-        object.__setattr__(self, "alpha", alpha)
+        alpha = tuple(self.alpha)
+        if not all(isinstance(a, numbers.Integral) and not isinstance(a, bool) and a >= 0
+                   for a in alpha):
+            raise ValueError(f"monomial exponents must be nonnegative integers, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", tuple(int(a) for a in alpha))
 
     def fits(self, k: int) -> bool:
         return len(self.alpha) <= k
@@ -116,16 +127,14 @@ class Monomial(TestFunction):
 class IndicatorBall(TestFunction):
     """1 inside the closed ball of given center and radius, 0 outside."""
 
-    center: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    radius: float = 1.0
+    center: np.ndarray
+    radius: float
     kind = "indicator_ball"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=float).reshape(-1)
-        )
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        object.__setattr__(self, "center", _finite_vector(self.center, "center"))
+        if not (_is_finite_number(self.radius) and self.radius > 0):
+            raise ValueError(f"ball radius must be a positive finite number, got {self.radius!r}")
 
     def fits(self, k: int) -> bool:
         return self.center.size == k
@@ -140,13 +149,13 @@ class IndicatorBall(TestFunction):
 class BoundedCutoff(TestFunction):
     """Inner function clamped to [-cap, cap]."""
 
-    inner: TestFunction = field(default_factory=lambda: Monomial((2,)))
-    cap: float = 1.0
+    inner: TestFunction
+    cap: float
     kind = "bounded_cutoff"
 
     def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
+        if not (_is_finite_number(self.cap) and self.cap > 0):
+            raise ValueError(f"cap must be a positive finite number, got {self.cap!r}")
 
     def fits(self, k: int) -> bool:
         return self.inner.fits(k)
@@ -185,7 +194,7 @@ def known_limit(fn: TestFunction, validated: ValidatedProblem):
     """
     mu = validated.z0_cyl
     g = validated.g
-    if isinstance(fn, (CosLinear, SinLinear)):
+    if isinstance(fn, _LinearWave):
         t = fn.t
         damp = math.exp(-0.5 * float(t @ g @ t))
         phase = float(t @ mu)
@@ -208,22 +217,19 @@ def known_limit(fn: TestFunction, validated: ValidatedProblem):
     return None
 
 
-_KINDS = {
-    "cos_linear": lambda p: CosLinear(t=p["t"]),
-    "sin_linear": lambda p: SinLinear(t=p["t"]),
-    "monomial": lambda p: Monomial(alpha=tuple(p["alpha"])),
-    "indicator_ball": lambda p: IndicatorBall(center=p["center"], radius=p["radius"]),
-    "counterexample_g": lambda p: CounterexampleG(),
-}
+_REGISTRY = {cls.kind: cls for cls in (CosLinear, SinLinear, Monomial, IndicatorBall,
+                                         BoundedCutoff, CounterexampleG)}
 
 
 def from_config(spec: dict) -> TestFunction:
-    """Construct a registry function from {"kind": ..., "params": {...}}."""
+    """Construct a registry function from {"kind": ..., "params": {...}}: the
+    params are the keyword arguments of the kind's class, all required."""
+    if not isinstance(spec, dict) or set(spec) - {"kind", "params"}:
+        raise ValueError(f"a function is {{'kind': ..., 'params': {{...}}}}, got {spec!r}")
     kind = spec.get("kind")
+    if kind not in _REGISTRY:
+        raise ValueError(f"unknown function kind {kind!r}; known kinds: {sorted(_REGISTRY)}")
     params = spec.get("params", {})
-    if kind == "bounded_cutoff":
-        return BoundedCutoff(inner=from_config(params["inner"]), cap=float(params["cap"]))
-    if kind not in _KINDS:
-        known = sorted(_KINDS) + ["bounded_cutoff"]
-        raise ValueError(f"unknown function kind {kind!r}; known kinds: {known}")
-    return _KINDS[kind](params)
+    if kind == "bounded_cutoff" and "inner" in params:
+        params = {**params, "inner": from_config(params["inner"])}
+    return _REGISTRY[kind](**params)

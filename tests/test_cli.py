@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from slicemean import cli, harness
+from slicemean import cli, harness, testfns
 
 BASE_CONFIG = {
     "problem": {
@@ -352,6 +353,89 @@ def test_function_dimension_must_match_k(tmp_path, capsys, command, function):
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "does not fit problem.k = 1" in err
+
+
+#: one well-formed params object per kind, on k = 1
+_PARAMS = {
+    "cos_linear": {"t": [1.0]},
+    "sin_linear": {"t": [1.0]},
+    "monomial": {"alpha": [2]},
+    "indicator_ball": {"center": [0.0], "radius": 1.0},
+    "bounded_cutoff": {"inner": {"kind": "monomial", "params": {"alpha": [2]}}, "cap": 1.0},
+    "counterexample_g": {},
+}
+
+
+def _function_cases():
+    for kind, params in _PARAMS.items():
+        yield pytest.param({"kind": kind, "params": {**params, "raduis": 2}}, "raduis",
+                           id=f"{kind}-unknown")
+        for name in params:
+            rest = {key: value for key, value in params.items() if key != name}
+            yield pytest.param({"kind": kind, "params": rest}, name, id=f"{kind}-missing-{name}")
+    inner = {"kind": "monomial", "params": {"alpha": [2]}}
+    for case, spec, name in [
+        ("unknown", {**inner, "params": {"alpha": [2], "beta": [1]}}, "beta"),
+        ("missing", {**inner, "params": {}}, "alpha"),
+        ("unknown_key", {**inner, "weight": 2}, "weight"),
+    ]:
+        yield pytest.param({"kind": "bounded_cutoff", "params": {"inner": spec, "cap": 1.0}},
+                           name, id=f"inner-{case}")
+
+
+@pytest.mark.parametrize("function, name", _function_cases())
+def test_unknown_or_missing_parameter_is_a_config_error(tmp_path, capsys, function, name):
+    # params are the class's keyword arguments: a typo such as "raduis", or
+    # any key the kind did not read, was dropped silently and the run exited 0
+    cfg = write_config(tmp_path, function=function)
+    assert cli.main(["slice", "--config", cfg, "--n", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{name}'" in err
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        {"kind": "monomial", "params": {"alpha": [2.7]}},
+        {"kind": "monomial", "params": {"alpha": [True]}},
+        {"kind": "monomial", "params": {"alpha": ["2"]}},
+        {"kind": "cos_linear", "params": {"t": [math.nan]}},
+        {"kind": "sin_linear", "params": {"t": [-math.inf]}},
+        {"kind": "cos_linear", "params": {"t": [10**400]}},
+        {"kind": "cos_linear", "params": {"t": ["1"]}},
+        {"kind": "indicator_ball", "params": {"center": [math.nan], "radius": 1.0}},
+        {"kind": "indicator_ball", "params": {"center": [True], "radius": 1.0}},
+        {"kind": "indicator_ball", "params": {"center": [0.0], "radius": math.nan}},
+        {"kind": "indicator_ball", "params": {"center": [0.0], "radius": math.inf}},
+        {"kind": "indicator_ball", "params": {"center": [0.0], "radius": True}},
+        {"kind": "bounded_cutoff",
+         "params": {"inner": {"kind": "cos_linear", "params": {"t": [1.0]}}, "cap": math.nan}},
+        {"kind": "bounded_cutoff",
+         "params": {"inner": {"kind": "cos_linear", "params": {"t": [1.0]}}, "cap": math.inf}},
+    ],
+    ids=["alpha_float", "alpha_bool", "alpha_str", "t_nan", "t_inf", "t_huge_int", "t_str",
+         "center_nan", "center_bool", "radius_nan", "radius_inf", "radius_bool", "cap_nan",
+         "cap_inf"],
+)
+def test_function_field_must_be_finite_and_well_typed(tmp_path, capsys, function):
+    # Python's json reads NaN and Infinity: a NaN center printed 0.0 for every
+    # slice value and exited 0; alpha [2.7] ran as x^2, [true] as x, and t
+    # ["1"] as t = 1; a 400-digit integer t raised a traceback
+    with pytest.raises(ValueError):
+        testfns.from_config(function)
+    cfg = write_config(tmp_path, function=function)
+    assert cli.main(["slice", "--config", cfg, "--n", "64"]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid 'function' section")
+
+
+@pytest.mark.parametrize("command", ["slice", "sweep"])
+@pytest.mark.parametrize("key", ["n_samples", "shard_size"])
+def test_zero_mc_count_is_a_config_error(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, mc={key: 0})
+    args = [command, "--config", cfg] + (["--n", "64"] if command == "slice" else [])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid 'mc' section") and key in err
 
 
 def test_csv_files_match_printed_tables(tmp_path):

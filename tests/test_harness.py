@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from slicemean import AffineProblem, ConfigError, InadmissibleFunction
-from slicemean import cli, harness
+from slicemean import cli, harness, testfns
 
 
 BASE_CONFIG = {
@@ -122,6 +123,20 @@ class TestConfigValidation:
         section = readme.split("### Configuration", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
         assert harness.validate_config(json.loads(block))
+
+    def test_readme_lists_each_kinds_parameters(self):
+        # the README lists every field of every registry class: a field added
+        # or removed fails here until the docs follow
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration", 1)[1]
+        documented = {
+            kind: re.findall(r"`(\w+)`", params)
+            for kind, params in re.findall(r"^- `(\w+)`: (.*)$", section, re.M)
+        }
+        assert documented == {
+            kind: [f.name for f in dataclasses.fields(cls)]
+            for kind, cls in testfns._REGISTRY.items()
+        }
 
     def test_nested_list_matrix_accepted(self):
         cfg = config()

@@ -359,3 +359,13 @@ class TestCounterexampleProbe:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             counterexample_probe(0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "z, r",
+        [(0.0, math.inf), (math.inf, 10.0), (-math.inf, 10.0), (0.0, math.nan),
+         (math.nan, 10.0)],
+    )
+    def test_rejects_non_finite_input(self, z, r):
+        # an infinite R or z grew the panel list without end; a NaN R gave 0.0
+        with pytest.raises(ValueError, match="finite"):
+            counterexample_probe(z, r)

@@ -81,7 +81,8 @@ class TestMetadata:
     def test_fits(self):
         # a direction or center has exactly k entries, a monomial at most k
         for fn in (CosLinear(t=[1.0, 2.0]), SinLinear(t=[0.0, 1.0]),
-                   IndicatorBall(center=[0.0, 0.0]), BoundedCutoff(inner=CosLinear(t=[1.0, 0.0]))):
+                   IndicatorBall(center=[0.0, 0.0], radius=1.0),
+                   BoundedCutoff(inner=CosLinear(t=[1.0, 0.0]), cap=1.0)):
             assert [fn.fits(k) for k in (1, 2, 3)] == [False, True, False]
         assert [Monomial(alpha=(0, 2)).fits(k) for k in (1, 2, 3)] == [False, True, True]
         assert CounterexampleG().fits(1)
