@@ -24,6 +24,11 @@ from .errors import Infeasible
 DEFAULT_N_CAP = 10**6
 
 
+def _is_int(value) -> bool:
+    # numpy integers pass; JSON true/false load as bool, a subclass of int
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AffineProblem:
     """Constraint matrix Q (m x s), target w0 (length m), cylinder dimension k."""
@@ -41,10 +46,8 @@ class AffineProblem:
             raise ValueError("Q and w0 entries must be finite")
         if w0.size != q.shape[0]:
             raise ValueError(f"w0 length {w0.size} != {q.shape[0]} constraint rows")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"cylinder dimension k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("cylinder dimension k must be >= 1")
+        if not (_is_int(self.k) and self.k >= 1):
+            raise ValueError(f"cylinder dimension k must be an integer >= 1, got {self.k!r}")
         q = q.copy()
         w0 = w0.copy()
         q.flags.writeable = False

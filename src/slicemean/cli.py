@@ -22,9 +22,15 @@ from .slice_geometry import build_slice
 from .testfns import known_limit
 
 
+def _thread_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 _FLAGS = {
     "--n": dict(type=int, required=True, help="truncation dimension N"),
-    "--threads": dict(type=int, default=1, help="worker threads (default 1)"),
+    "--threads": dict(type=_thread_count, default=1, help="worker threads (default 1)"),
     "--seed": dict(type=int, default=None, help="overrides the config seed"),
     "--csv": dict(default=None, help="CSV output path"),
     "--svg": dict(default=None, help="SVG chart output path"),

@@ -1,15 +1,17 @@
-"""Sweeps, verification suites, and output emission.
+"""Config readers, sweeps, verification suites, and output emission.
 
-Configuration is a single JSON document validated fail-closed (unknown keys
-are rejected). A sweep compares, for each N on a schedule, the deterministic
-quadrature against Monte Carlo and against the limiting Gaussian value; the
-verification suite executes the package's property checks with fixed seeds
-and reports machine-readable pass/fail records.
+Configuration is one JSON document, read fail-closed by one reader per
+section, the only place that section's rules are written. A sweep compares,
+for each N on a schedule, the deterministic quadrature against Monte Carlo
+and against the limiting Gaussian value; the verification suite executes the
+package's property checks with fixed seeds and reports machine-readable
+pass/fail records.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -22,6 +24,7 @@ from . import testfns
 from .affine_model import (
     AffineProblem,
     ValidatedProblem,
+    _is_int,
     least_norm_center,
     truncated_matrix,
     validate,
@@ -102,107 +105,32 @@ class VerifyReport:
 # Configuration
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "problem": {"Q", "w0", "k"},
-    "function": {"kind", "params"},
-    "quad": {"target_rel_err"},
-    "mc": {"n_samples", "shard_size"},
-    "verify": {"checks", "mc_samples"},
-    "counterexample": {"z", "R"},
-}
-_TOP_KEYS = set(_SCHEMA) | {"schedule", "seed"}
-#: Values that must be JSON integers, by their dotted path in the config.
-_INT_KEYS = ("problem.k", "problem.Q.rows", "problem.Q.cols", "seed", "mc.n_samples",
-             "mc.shard_size", "verify.mc_samples")
 
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not counts
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _reject_unknown(section: str, given: dict, allowed: set):
-    unknown = set(given) - allowed
+def _object(name: str, value, keys) -> dict:
+    """``value``, which must be a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in {section!r}; allowed: {sorted(allowed)}"
-        )
-
-
-def validate_config(cfg: dict) -> dict:
-    """Validate the JSON config fail-closed and return it unchanged.
-
-    Every section rejects keys it does not know about, so a typo fails the
-    run instead of being silently ignored. Counts, k and the seed must be
-    JSON integers: 2.5, true or "1" are refused, not truncated. The
-    counterexample grids must be non-empty lists of finite numbers, with
-    every R > 0; verify.checks must be null or a list of ALL_CHECKS names,
-    and verify.mc_samples at least 1.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown("top level", cfg, _TOP_KEYS)
-    for section, allowed in _SCHEMA.items():
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            _reject_unknown(section, cfg[section], allowed)
-    if "problem" in cfg:
-        q = cfg["problem"].get("Q")
-        if isinstance(q, dict):
-            _reject_unknown("problem.Q", q, {"rows", "cols", "entries"})
-    for name in _INT_KEYS:
-        *path, key = name.split(".")
-        values = cfg
-        for part in path:
-            values = values.get(part) if isinstance(values, dict) else None
-        if isinstance(values, dict) and key in values and not _is_int(values[key]):
-            raise ConfigError(f"{name} must be an integer, got {values[key]!r}")
-    if "schedule" in cfg and (
-        not isinstance(cfg["schedule"], list)
-        or not all(_is_int(n) and n > 0 for n in cfg["schedule"])
-    ):
-        raise ConfigError("schedule must be a list of positive integers")
-    for key, values in cfg.get("counterexample", {}).items():
-        if not (isinstance(values, list) and values
-                and all(_is_finite_number(v) and (key == "z" or v > 0) for v in values)):
-            raise ConfigError(f"counterexample.{key} must be a non-empty list of finite "
-                              f"numbers, every R > 0; got {values!r}")
-    verify = cfg.get("verify", {})
-    checks = verify.get("checks")
-    if checks is not None and not (
-        isinstance(checks, list) and all(isinstance(n, str) and n in ALL_CHECKS for n in checks)
-    ):
-        raise ConfigError(f"unknown verify check(s) in verify.checks {checks!r}: it must be "
-                          f"null or a list of names from {sorted(ALL_CHECKS)}")
-    if verify.get("mc_samples", 1) < 1:
-        raise ConfigError(f"verify.mc_samples must be >= 1, got {verify['mc_samples']}")
-    return cfg
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    return validate_config(cfg)
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name!r}; allowed: {sorted(keys)}")
+    return value
 
 
 def problem_from_config(cfg: dict) -> AffineProblem:
     if "problem" not in cfg:
         raise ConfigError("config has no 'problem' section")
-    section = cfg["problem"]
+    section = _object("problem", cfg["problem"], {"Q", "w0", "k"})
     try:
-        q_spec = section["Q"]
-        if isinstance(q_spec, dict):
-            q = as_matrix(int(q_spec["rows"]), int(q_spec["cols"]), q_spec["entries"])
-        else:
-            q = np.atleast_2d(np.asarray(q_spec, dtype=float))
-        return AffineProblem(q=q, w0=np.asarray(section["w0"], dtype=float), k=section["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+        q = section["Q"]
+        if isinstance(q, dict):
+            _object("problem.Q", q, {"rows", "cols", "entries"})
+            rows, cols = q["rows"], q["cols"]
+            if not (_is_int(rows) and _is_int(cols)):
+                raise ValueError(f"Q rows and cols must be integers, got {rows!r} x {cols!r}")
+            q = as_matrix(rows, cols, q["entries"])
+        return AffineProblem(q=q, w0=section["w0"], k=section["k"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer beyond the float range in Q or w0
         raise ConfigError(f"invalid 'problem' section: {exc}") from exc
 
 
@@ -225,23 +153,96 @@ def function_from_config(cfg: dict) -> TestFunction:
 
 def quad_config(cfg: dict) -> QuadConfig:
     try:
-        return QuadConfig(**cfg.get("quad", {}))
+        return QuadConfig(**_object("quad", cfg.get("quad", {}), {"target_rel_err"}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'quad' section: {exc}") from exc
 
 
 def mc_config(cfg: dict, seed: int, default_samples: int = 10_000) -> McConfig:
+    section = _object("mc", cfg.get("mc", {}), {"n_samples", "shard_size"})
     try:
-        return McConfig(**{"n_samples": default_samples, **cfg.get("mc", {})}, seed=seed)
+        return McConfig(**{"n_samples": default_samples, **section}, seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'mc' section: {exc}") from exc
 
 
 def config_seed(cfg: dict, override=None) -> int:
-    seed = int(override) if override is not None else int(cfg.get("seed", DEFAULT_SEED))
-    if not (0 <= seed < 2**64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+    seed = cfg.get("seed", DEFAULT_SEED) if override is None else override
+    try:  # McConfig holds the seed rule; the verify checks take the same seed
+        return int(McConfig(n_samples=1, seed=seed).seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _schedule(cfg: dict) -> list:
+    schedule = cfg.get("schedule", DEFAULT_SCHEDULE)
+    if not (isinstance(schedule, list) and all(_is_int(n) and n > 0 for n in schedule)):
+        raise ConfigError(f"schedule must be a list of positive integers, got {schedule!r}")
+    return sorted(schedule)
+
+
+def _verify_section(cfg: dict):
+    """(check names, MC samples per cross-oracle point)."""
+    section = _object("verify", cfg.get("verify", {}), {"checks", "mc_samples"})
+    names = section.get("checks")
+    if names is None:
+        names = list(ALL_CHECKS)
+    elif not (isinstance(names, list)
+              and all(isinstance(n, str) and n in ALL_CHECKS for n in names)):
+        raise ConfigError(f"unknown verify check(s) in verify.checks {names!r}: it must be "
+                          f"null or a list of names from {sorted(ALL_CHECKS)}")
+    try:
+        samples = McConfig(n_samples=section.get("mc_samples", 100_000)).n_samples
+    except ValueError as exc:
+        raise ConfigError(f"invalid verify.mc_samples: {exc}") from exc
+    return names, samples
+
+
+def _counterexample_grid(cfg: dict):
+    """(z values, R values ascending)."""
+    section = _object("counterexample", cfg.get("counterexample", {}), {"z", "R"})
+    grid = {"z": [0.0, 0.3], "R": [1.0, 10.0, 100.0, 1000.0], **section}
+    for key, values in grid.items():
+        if not (isinstance(values, list) and values
+                and all(_is_finite_number(v) and (key == "z" or v > 0) for v in values)):
+            raise ConfigError(f"counterexample.{key} must be a non-empty list of finite "
+                              f"numbers, every R > 0; got {values!r}")
+    return [float(z) for z in grid["z"]], sorted(float(r) for r in grid["R"])
+
+
+#: top-level key -> its reader, in reading order: the function's fit check
+#: reads problem.k, so the problem comes first
+_READERS = {
+    "problem": problem_from_config,
+    "function": function_from_config,
+    "schedule": _schedule,
+    "quad": quad_config,
+    "mc": functools.partial(mc_config, seed=0),
+    "seed": config_seed,
+    "verify": _verify_section,
+    "counterexample": _counterexample_grid,
+}
+
+
+def validate_config(cfg: dict) -> dict:
+    """Return the JSON config unchanged once it has no unknown top-level key
+    and every section present passes the reader the commands use."""
+    _object("config", cfg, _READERS)
+    for key, read in _READERS.items():
+        if key in cfg:
+            read(cfg)
+    return cfg
+
+
+def load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    return validate_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def run_sweep(
             "so this function is refused"
         )
     validated = validate(problem)
-    schedule = sorted(cfg.get("schedule", DEFAULT_SCHEDULE))
+    schedule = _schedule(cfg)
     qcfg = quad_config(cfg)
     base_seed = config_seed(cfg, seed)
     limit = limit_value(validated, fn)
@@ -704,15 +705,8 @@ def run_verify(cfg: dict, threads: int = 1, seed=None) -> VerifyReport:
     report into exit code 1.
     """
     validate_config(cfg)
-    section = cfg.get("verify", {})
-    names = section.get("checks")
-    if names is None:
-        names = list(ALL_CHECKS)
-    ctx = _Ctx(
-        seed=config_seed(cfg, seed),
-        threads=threads,
-        mc_samples=int(section.get("mc_samples", 100_000)),
-    )
+    names, mc_samples = _verify_section(cfg)
+    ctx = _Ctx(seed=config_seed(cfg, seed), threads=threads, mc_samples=mc_samples)
     return VerifyReport(checks=tuple(ALL_CHECKS[name](ctx) for name in names))
 
 
@@ -728,9 +722,7 @@ def run_counterexample(cfg: dict):
     within each z.
     """
     validate_config(cfg)
-    section = cfg.get("counterexample", {})
-    z_list = [float(z) for z in section.get("z", [0.0, 0.3])]
-    r_list = sorted(float(r) for r in section.get("R", [1.0, 10.0, 100.0, 1000.0]))
+    z_list, r_list = _counterexample_grid(cfg)
     rows = []
     for z in z_list:
         for r in r_list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .affine_model import ValidatedProblem
+from .affine_model import ValidatedProblem, _is_int
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
 from .rules import (
     beta_radial_rule,
@@ -67,12 +67,12 @@ class McConfig:
     shard_size: int = 1 << 16
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+        for name in ("n_samples", "shard_size"):
+            count = getattr(self, name)
+            if not (_is_int(count) and count >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

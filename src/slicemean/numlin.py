@@ -24,16 +24,14 @@ DEFAULT_TOL = 1e-10
 def as_matrix(rows: int, cols: int, entries) -> np.ndarray:
     """Build an (rows, cols) float64 matrix from a flat row-major sequence.
 
-    Raises ValueError when the entry count does not match or any entry is
-    not finite.
+    Raises ValueError when the entry count does not match; ``AffineProblem``
+    refuses entries that are not finite.
     """
     a = np.asarray(entries, dtype=float).reshape(-1)
     if a.size != rows * cols:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {a.size}"
         )
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must all be finite")
     return a.reshape(rows, cols)
 
 

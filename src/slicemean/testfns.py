@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine_model import ValidatedProblem
+from .affine_model import ValidatedProblem, _is_int
 
 LP_ALL = "L^p for all p"
 LP_ONE = "L^1 only"
@@ -102,8 +102,7 @@ class Monomial(TestFunction):
 
     def __post_init__(self):
         alpha = tuple(self.alpha)
-        if not all(isinstance(a, numbers.Integral) and not isinstance(a, bool) and a >= 0
-                   for a in alpha):
+        if not all(_is_int(a) and a >= 0 for a in alpha):
             raise ValueError(f"monomial exponents must be nonnegative integers, got {self.alpha!r}")
         object.__setattr__(self, "alpha", tuple(int(a) for a in alpha))
 

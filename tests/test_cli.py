@@ -95,6 +95,19 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, comma
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("command", ["slice", "sweep", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+    # both ran serially with exit 0
+    argv = [command, "--config", write_config(tmp_path), "--threads", threads]
+    if command == "slice":
+        argv += ["--n", "64"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --threads: must be at least 1" in capsys.readouterr().err
+
+
 class TestSliceAndLimit:
     def test_slice(self, tmp_path):
         proc = run_cli("slice", "--n", "64", "--config", write_config(tmp_path))
@@ -330,6 +343,65 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value
     assert cli.main([section, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"{section}.{key}" in err
+
+
+_HUGE = 10**400
+_PROBLEM_ERROR = "invalid 'problem' section"
+
+
+def _malformed_cases():
+    """(command that reads the section, config overrides, a fragment of the
+    error) for malformed values in every section."""
+    dims = {"rows": 1, "cols": 2, "entries": [3.0, 4.0]}
+    problem = {"Q": dims, "w0": [5.0], "k": 1}
+    cos = {"kind": "cos_linear", "params": {"t": [1.0]}}
+    cases = {
+        "problem_k_float": ("slice", {"problem": {**problem, "k": 2.5}}, "k must be an integer"),
+        "problem_unknown": ("slice", {"problem": {**problem, "scale": 1}}, "'scale'"),
+        "q_unknown": ("slice", {"problem": {**problem, "Q": {**dims, "layout": "C"}}}, "'layout'"),
+        "q_rows_float": ("slice", {"problem": {**problem, "Q": {**dims, "rows": 1.0}}}, "rows"),
+        "w0_nan": ("slice", {"problem": {**problem, "w0": [math.nan]}}, _PROBLEM_ERROR),
+        "w0_huge": ("slice", {"problem": {**problem, "w0": [_HUGE]}}, _PROBLEM_ERROR),
+        "q_nested_huge": ("slice", {"problem": {**problem, "Q": [[3.0, _HUGE]]}}, _PROBLEM_ERROR),
+        "q_entries_huge": ("slice", {"problem": {**problem, "Q": {**dims, "entries": [_HUGE, 4]}}},
+                           _PROBLEM_ERROR),
+        "function_unfit": ("slice", {"function": {**cos, "params": {"t": [1.0, 2.0]}}},
+                           "does not fit problem.k = 1"),
+        "function_unknown_param": (
+            "slice", {"function": {**cos, "params": {"t": [1.0], "bogus": 1}}}, "'bogus'"),
+        "function_nan": ("slice", {"function": {**cos, "params": {"t": [math.nan]}}}, "finite"),
+        "function_unknown_kind": ("limit", {"function": {**cos, "kind": "tan"}}, "'tan'"),
+        "schedule_negative": ("sweep", {"schedule": [16, -1]}, "schedule"),
+        "schedule_not_list": ("sweep", {"schedule": 16}, "schedule"),
+        "quad_unknown": ("slice", {"quad": {"order": 3}}, "'order'"),
+        "quad_out_of_range": ("slice", {"quad": {"target_rel_err": 0.5}}, "target_rel_err"),
+        "mc_zero": ("slice", {"mc": {"n_samples": 0}}, "n_samples"),
+        "mc_shard_bool": ("sweep", {"mc": {"shard_size": True}}, "shard_size"),
+        "mc_not_object": ("sweep", {"mc": 5}, "mc"),
+        "seed_float": ("slice", {"seed": 1.5}, "seed"),
+        "seed_huge": ("sweep", {"seed": 2**64}, "seed"),
+        "verify_check_name": ("verify", {"verify": {"checks": ["nope"]}}, "verify.checks"),
+        "verify_mc_samples_zero": ("verify", {"verify": {"checks": [], "mc_samples": 0}},
+                                   "verify.mc_samples"),
+        "counterexample_r": ("counterexample", {"counterexample": {"R": [-1.0]}}, "counterexample.R"),
+        "counterexample_z": ("counterexample", {"counterexample": {"z": []}}, "counterexample.z"),
+        "unknown_section": ("slice", {"outputs": {}}, "'outputs'"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("command, overrides, fragment", _malformed_cases())
+def test_validate_refuses_what_a_command_refuses(tmp_path, capsys, command, overrides, fragment):
+    # validate reads every section with the commands' rules: a function with
+    # an unknown parameter or a NaN passed validate with exit 0, and a
+    # 400-digit integer in w0 or Q was an OverflowError traceback (exit 1)
+    cfg = write_config(tmp_path, **overrides)
+    errors = []
+    for argv in ([command] + (["--n", "64"] if command == "slice" else []), ["validate"]):
+        assert cli.main([*argv, "--config", cfg]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("config error") and fragment in errors[0]
+    assert errors[1] == errors[0]
 
 
 @pytest.mark.parametrize("command", ["slice", "limit", "sweep"])

@@ -89,11 +89,13 @@ class TestConfigValidation:
                 AffineProblem(q=[[3.0, 4.0]], w0=[5.0], k=value)
 
     @pytest.mark.parametrize(
-        "name",
-        ["quad.radial_nodes", "quad.angular_nodes", "verify.tol_scale", "counterexample.nodes",
-         "outputs.csv_path"],
+        "name, unknown",
+        [pytest.param(name, unknown, id=name) for name, unknown in [
+            ("quad.radial_nodes", "radial_nodes"), ("quad.angular_nodes", "angular_nodes"),
+            ("verify.tol_scale", "tol_scale"), ("counterexample.nodes", "nodes"),
+            ("outputs.csv_path", "outputs")]],
     )
-    def test_removed_keys_are_unknown(self, name):
+    def test_removed_keys_are_unknown(self, name, unknown):
         # fixed in the code now: quadrature starts at 128 radial nodes and 64
         # directions, the probe at 48 nodes a panel, and every verify bound is
         # fixed; output paths come from --csv and --svg only, so the whole
@@ -101,7 +103,6 @@ class TestConfigValidation:
         section, key = name.split(".")
         cfg = config()
         cfg.setdefault(section, {})[key] = 1
-        unknown = key if section in harness._SCHEMA else section
         with pytest.raises(ConfigError, match=rf"unknown key.*'{unknown}'"):
             harness.validate_config(cfg)
 
@@ -200,6 +201,12 @@ class TestRunSweep:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="64-bit unsigned"):
             harness.run_sweep(config(), seed=-5)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_override_must_be_an_integer(self, seed):
+        # the override meets the config seed's rule: 1.5 ran as seed 1
+        with pytest.raises(ConfigError, match="64-bit unsigned"):
+            harness.run_sweep(config(), seed=seed)
 
     def test_exact_moment_column(self):
         cfg = config(schedule=[16, 64, 256])

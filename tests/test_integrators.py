@@ -139,6 +139,27 @@ class TestQuadrature:
             QuadConfig(target_rel_err=0.5)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"n_samples": 1000.9}, {"n_samples": "1000"}, {"n_samples": True},
+     {"n_samples": 1000, "shard_size": True}, {"n_samples": 1000, "shard_size": 4096.0},
+     {"n_samples": 1000, "seed": 1.5}, {"n_samples": 1000, "seed": True}],
+    ids=["samples_float", "samples_str", "samples_bool", "shard_bool", "shard_float",
+         "seed_float", "seed_bool"],
+)
+def test_mc_config_fields_must_be_integers(fields):
+    # shard_size=True ran 1000 shards of one sample, seed=1.5 ran seed 1, and
+    # the float counts failed deep in numpy with a bare TypeError
+    with pytest.raises(ValueError, match="integer"):
+        McConfig(**fields)
+
+
+def test_mc_config_takes_numpy_integers(fix_b):
+    cfg = McConfig(n_samples=np.int64(1000), seed=1, shard_size=np.int32(256))
+    res = slice_mean_mc(build_slice(fix_b, 64), Monomial(alpha=(0,)), cfg)
+    assert res.value == 1.0 and res.n_evals == 1000
+
+
 class TestMonteCarlo:
     def test_constant_exact(self, fix_b):
         res = slice_mean_mc(build_slice(fix_b, 64), Monomial(alpha=(0,)), McConfig(1000, seed=1))
