@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,26 +25,60 @@ from .errors import Infeasible
 DEFAULT_N_CAP = 10**6
 
 
+#: Largest truncation dimension and sample count: every float computed from
+#: an integer up to 2**53 is exact.
+_MAX_COUNT = 2**53
+
+
 def _is_int(value) -> bool:
     # numpy integers pass; JSON true/false load as bool, a subclass of int
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and 1 <= value <= _MAX_COUNT
+
+
+def _is_finite_number(value) -> bool:
+    # NaN fails the comparison, and a 400-digit int compares exactly; bool and
+    # str are not numbers here
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _finite_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array of the same shape; ValueError unless every
+    entry is a finite number in the sense of ``_is_finite_number``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        # every entry of a numeric array is a real number; finiteness is left
+        entries = values.astype(float)
+        finite = bool(np.isfinite(entries).all())
+    else:
+        entries = np.asarray(values, dtype=object)
+        finite = all(_is_finite_number(v) for v in entries.reshape(-1))
+    if not finite:
+        raise ValueError(f"{name} must hold finite numbers, got {values!r}")
+    return entries.astype(float)
+
+
 @dataclass(frozen=True)
 class AffineProblem:
-    """Constraint matrix Q (m x s), target w0 (length m), cylinder dimension k."""
+    """Constraint matrix Q (m x s), target w0 (length m), cylinder dimension k.
+
+    Every entry of Q and w0 is a finite real number (not bool or str), w0 is
+    flat, and k is an integer >= 1; anything else raises ValueError."""
 
     q: np.ndarray
     w0: np.ndarray
     k: int
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        w0 = np.asarray(self.w0, dtype=float).reshape(-1)
+        q = np.atleast_2d(_finite_array(self.q, "Q"))
+        w0 = _finite_array(self.w0, "w0")
         if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 1:
             raise ValueError("Q must be a non-empty 2-D matrix")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(w0))):
-            raise ValueError("Q and w0 entries must be finite")
+        if w0.ndim != 1:
+            raise ValueError(f"w0 must be a flat list of numbers, got {self.w0!r}")
         if w0.size != q.shape[0]:
             raise ValueError(f"w0 length {w0.size} != {q.shape[0]} constraint rows")
         if not (_is_int(self.k) and self.k >= 1):
@@ -129,9 +164,7 @@ def least_norm_center(problem: AffineProblem, n: int) -> np.ndarray:
     including n below n_min; the verify checks' reference for the centers of
     the pre-stabilization regime. Raises RankDeficient otherwise.
     """
-    qr = numlin.StackedQR(truncated_matrix(problem, n), problem.k)
-    qr.require_rank()
-    return qr.center(problem.w0)
+    return numlin.StackedQR(truncated_matrix(problem, n), problem.k).center(problem.w0)
 
 
 def validate(problem: AffineProblem) -> ValidatedProblem:
@@ -142,8 +175,9 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     cutoff of ``numlin``, which ``rank_checks["tol"]`` reports. At the
     stabilization width, the stacked [Q; E_k] must have rank m + k: Q has
     full row rank and ker Q projects onto R^k (else RankDeficient or
-    ProjectionNotOnto, see ``StackedQR.require_onto``). That QR also gives
-    z0 and the limit factor ``chol``. Then finds the smallest N such that
+    ProjectionNotOnto, raised by ``StackedQR.gram_factor`` as it gives the
+    limit factor ``chol``). That QR also gives z0. Then finds the smallest N
+    such that
 
       * the stacked rank rule holds at N (it implies full row rank of Q_N),
       * N >= k + m + 2 (keeps the disintegration weight exponent >= 1/2),
@@ -165,10 +199,9 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     """
     m, k, w = problem.m, problem.k, problem.width
     qr = numlin.StackedQR(truncated_matrix(problem, w), k)
-    qr.require_onto()
+    chol = qr.gram_factor()
     margin = qr.margin
     z0 = qr.center(problem.w0)
-    chol = qr.gram_factor()
 
     n_min = None
     for n in range(k + m + 2, w + 1):

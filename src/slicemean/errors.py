@@ -16,7 +16,8 @@ class ProjectionNotOnto(SliceMeanError):
 
 
 class Infeasible(SliceMeanError):
-    """No admissible truncation dimension exists below the configured cap."""
+    """No admissible truncation dimension exists below the configured cap, or
+    the one requested exceeds 2**53, beyond which it is not exact as a float."""
 
 
 class BelowMinN(SliceMeanError):

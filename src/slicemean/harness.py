@@ -24,15 +24,18 @@ from . import testfns
 from .affine_model import (
     AffineProblem,
     ValidatedProblem,
+    _is_count,
+    _is_finite_number,
     _is_int,
     least_norm_center,
     truncated_matrix,
     validate,
 )
-from .errors import ConfigError, InadmissibleFunction, SliceMeanError
+from .errors import ConfigError, SliceMeanError
 from .integrators import (
     McConfig,
     QuadConfig,
+    _require_lp,
     counterexample_probe,
     gaussian_limit,
     slice_mean_mc,
@@ -41,7 +44,7 @@ from .integrators import (
 from .numlin import as_matrix, kernel_onb
 from .projections import kernel_projection_norm_sq, preimage_norm_sq
 from .slice_geometry import build_slice, weight
-from .testfns import CosLinear, TestFunction, _is_finite_number, known_limit
+from .testfns import CosLinear, TestFunction, known_limit
 
 DEFAULT_SCHEDULE = [32, 64, 128, 256, 512, 1024, 2048, 4096]
 DEFAULT_SEED = 20240801
@@ -176,8 +179,8 @@ def config_seed(cfg: dict, override=None) -> int:
 
 def _schedule(cfg: dict) -> list:
     schedule = cfg.get("schedule", DEFAULT_SCHEDULE)
-    if not (isinstance(schedule, list) and all(_is_int(n) and n > 0 for n in schedule)):
-        raise ConfigError(f"schedule must be a list of positive integers, got {schedule!r}")
+    if not (isinstance(schedule, list) and all(_is_count(n) for n in schedule)):
+        raise ConfigError(f"schedule must be a list of integers in [1, 2**53], got {schedule!r}")
     return sorted(schedule)
 
 
@@ -251,7 +254,9 @@ def load_config(path: str) -> dict:
 
 
 def limit_value(validated: ValidatedProblem, fn: TestFunction) -> float:
-    """Closed-form limit when the registry declares one, else Gauss-Hermite."""
+    """Closed-form limit when the registry declares one, else Gauss-Hermite;
+    InadmissibleFunction, before any evaluation, outside L^p for p > 1."""
+    _require_lp(fn)
     closed = known_limit(fn, validated)
     if closed is not None:
         return float(closed)
@@ -268,19 +273,12 @@ def run_sweep(
 
     Rows are ascending in N. An N at which no slice can be built (the
     sphere misses the constraint set, N is below n_min, or the truncated
-    constraints lose rank) contributes a note instead of a row. Functions
-    declared L^1 only are refused: the convergence guarantee needs L^p for
-    some p > 1 against the limiting Gaussian.
+    constraints lose rank) contributes a note instead of a row. A function
+    outside L^p, p > 1, is refused by ``limit_value`` before any row runs.
     """
     validate_config(cfg)
     problem = problem_from_config(cfg)
     fn = function_from_config(cfg)
-    if not fn.sweep_admissible:
-        raise InadmissibleFunction(
-            f"function {fn.kind!r} is declared {fn.lp_class} with respect to the "
-            "limiting Gaussian; sweeps require L^p integrability for some p > 1, "
-            "so this function is refused"
-        )
     validated = validate(problem)
     schedule = _schedule(cfg)
     qcfg = quad_config(cfg)

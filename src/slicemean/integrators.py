@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .affine_model import ValidatedProblem, _is_int
+from .affine_model import ValidatedProblem, _is_count, _is_int
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
 from .rules import (
     beta_radial_rule,
@@ -69,8 +69,8 @@ class McConfig:
     def __post_init__(self):
         for name in ("n_samples", "shard_size"):
             count = getattr(self, name)
-            if not (_is_int(count) and count >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+            if not _is_count(count):
+                raise ValueError(f"{name} must be an integer in [1, 2**53], got {count!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
@@ -86,6 +86,13 @@ class IntegralResult:
 def _require_fit(phi: TestFunction, k: int):
     if not phi.fits(k):
         raise InadmissibleFunction(f"{phi} does not fit k = {k} (see TestFunction.fits)")
+
+
+def _require_lp(phi: TestFunction):
+    if not phi.in_lp_above_one:
+        raise InadmissibleFunction(
+            f"function {phi.kind!r} is declared {phi.lp_class} with respect to the limiting "
+            "Gaussian; the limit theorem needs L^p for some p > 1, so it is refused")
 
 
 def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
@@ -295,8 +302,9 @@ def gaussian_limit(
     covariance the stabilized Gram matrix; sampling (or placing Hermite
     nodes) happens in whitened coordinates through its Cholesky factor.
     With ``mc`` None the value is tensor Gauss-Hermite with 64 nodes per
-    axis (k <= 3), its error estimate the difference against 32 nodes;
-    otherwise it is Monte Carlo with the divergence detector.
+    axis (k <= 3, and only inside L^p for p > 1), its error estimate the
+    difference against 32 nodes; otherwise it is Monte Carlo with the
+    divergence detector.
     """
     _require_fit(phi, validated.k)
     mu = validated.z0_cyl
@@ -304,19 +312,16 @@ def gaussian_limit(
         return _gaussian_mc(mu, validated.chol, phi, mc)
     if validated.k > 3:
         raise UnsupportedDimension("tensor Gauss-Hermite supports k <= 3; use Monte Carlo")
-    if not phi.gauss_hermite_ok:
-        raise InadmissibleFunction(
-            f"{phi.kind} grows too fast for Gauss-Hermite quadrature; "
-            "use the Monte Carlo method"
-        )
+    _require_lp(phi)
     return _gauss_hermite_limit(mu, validated.chol, phi)
 
 
 def _graded_edges(r: float, nodes: int, z: float):
-    # Geometric grading resolves the 1/(1+x^2) factor near the origin; the
-    # panel width is capped so that |z| * width stays below the node count,
-    # keeping the exp(z x) factor resolvable per panel.
-    cap = nodes / max(abs(z), 1e-12)
+    # Geometric grading resolves the 1/(1+x^2) factor near the origin; for
+    # z != 0 the panel width is capped so that |z| * width stays below the
+    # node count, keeping the exp(z x) factor resolvable per panel. At z = 0
+    # the widths keep doubling, so a huge r takes only about log2(r) panels.
+    cap = nodes / abs(z) if z else math.inf
     edges = [0.0]
     width = 1.0
     while edges[-1] < r:
@@ -336,12 +341,12 @@ def _probe_pass(z: float, r: float, nodes: int) -> float:
             for sign in (1.0, -1.0):
                 vals = np.exp(z * (sign * x) - 0.5 * z * z - np.log1p(x * x))
                 total += float(w @ vals)
-    value = total / math.sqrt(2.0 * math.pi)
-    if not math.isfinite(value):
-        raise NonFinite(
-            f"truncated integral at z = {z:g}, R = {r:g} exceeds the float64 range"
-        )
-    return value
+            # a partial sum never comes back from infinity: stop at the first
+            if not math.isfinite(total):
+                raise NonFinite(
+                    f"truncated integral at z = {z:g}, R = {r:g} exceeds the float64 range"
+                )
+    return total / math.sqrt(2.0 * math.pi)
 
 
 def counterexample_probe(z: float, r: float) -> float:

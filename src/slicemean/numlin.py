@@ -22,12 +22,13 @@ DEFAULT_TOL = 1e-10
 
 
 def as_matrix(rows: int, cols: int, entries) -> np.ndarray:
-    """Build an (rows, cols) float64 matrix from a flat row-major sequence.
+    """Arrange a flat row-major sequence as a (rows, cols) array.
 
-    Raises ValueError when the entry count does not match; ``AffineProblem``
-    refuses entries that are not finite.
+    Raises ValueError when the entry count does not match. The entries stay
+    as given: ``AffineProblem`` converts them and refuses any that is not a
+    finite number.
     """
-    a = np.asarray(entries, dtype=float).reshape(-1)
+    a = np.asarray(entries, dtype=object).reshape(-1)
     if a.size != rows * cols:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {a.size}"
@@ -60,7 +61,9 @@ class StackedQR:
     ker q is G = R22^T R22, so R22^T with its column signs fixed is G's
     Cholesky factor, obtained without squaring the condition number. QR is
     backward stable, so a block has full rank iff its sigma_min / sigma_max
-    exceeds DEFAULT_TOL, as for the matrices R stands for.
+    exceeds DEFAULT_TOL, as for the matrices R stands for. Each result checks
+    the rule it rests on: ``center`` raises unless q has full row rank, and
+    ``gram_factor`` unless the margin clears the cutoff.
     """
 
     def __init__(self, q: np.ndarray, k: int):
@@ -73,38 +76,36 @@ class StackedQR:
         sigma_m / sigma_1 of q, so margin > DEFAULT_TOL implies full row rank."""
         return _singular_ratio(self.r)
 
-    def require_rank(self):
-        """Raise RankDeficient unless q has full row rank."""
-        if _singular_ratio(self.r[: self.m, : self.m]) <= DEFAULT_TOL:
-            raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
-
-    def require_onto(self):
-        """Raise unless margin > DEFAULT_TOL. The margin is at most both q's
-        sigma_m / sigma_1 (of R11) and sigma_min of R22 (scale-free: G =
-        R22^T R22 is a block of a projector), so it can fail while each
-        passes. RankDeficient when q's ratio is at the cutoff or the smaller,
-        else ProjectionNotOnto; the message names both."""
-        if self.margin > DEFAULT_TOL:
-            return
-        m, n = self.m, len(self.u)
-        rank = _singular_ratio(self.r[:m, :m])
-        onto = _sigma_min(self.r[m:, m:])
-        ratios = f"sigma_m/sigma_1 of Q {rank:.2g}, sigma_min of R22 {onto:.2g}"
-        if rank <= DEFAULT_TOL or rank < onto:
-            raise RankDeficient(f"rank < {m} on the first {n} column(s) of Q ({ratios})")
-        raise ProjectionNotOnto(
-            f"the kernel of the first {n} column(s) of Q does not project onto the "
-            f"first {self.r.shape[1] - m} coordinate(s) ({ratios})"
-        )
-
     def center(self, w) -> np.ndarray:
-        """Minimal-norm solution of q x = w; q must have full row rank."""
-        y = scipy.linalg.solve_triangular(self.r[: self.m, : self.m], w, trans="T", check_finite=False)
+        """Minimal-norm solution of q x = w. Raises RankDeficient unless q has
+        full row rank: sigma_m / sigma_1 of R11 above DEFAULT_TOL."""
+        r11 = self.r[: self.m, : self.m]
+        if _singular_ratio(r11) <= DEFAULT_TOL:
+            raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
+        y = scipy.linalg.solve_triangular(r11, w, trans="T", check_finite=False)
         return self.u[:, : self.m] @ y
 
     def gram_factor(self) -> np.ndarray:
-        """Lower-triangular C with positive diagonal and C C^T = G; needs margin > 0."""
-        r22 = self.r[self.m :, self.m :]
+        """Lower-triangular C with positive diagonal and C C^T = G.
+
+        Raises unless margin > DEFAULT_TOL. The margin is at most both q's
+        sigma_m / sigma_1 (of R11) and sigma_min of R22 (scale-free: G =
+        R22^T R22 is a block of a projector), so it can fail while each
+        passes. RankDeficient when q's ratio is at the cutoff or the smaller,
+        else ProjectionNotOnto; the message names both.
+        """
+        m, n = self.m, len(self.u)
+        r22 = self.r[m:, m:]
+        if self.margin <= DEFAULT_TOL:
+            rank = _singular_ratio(self.r[:m, :m])
+            onto = _sigma_min(r22)
+            ratios = f"sigma_m/sigma_1 of Q {rank:.2g}, sigma_min of R22 {onto:.2g}"
+            if rank <= DEFAULT_TOL or rank < onto:
+                raise RankDeficient(f"rank < {m} on the first {n} column(s) of Q ({ratios})")
+            raise ProjectionNotOnto(
+                f"the kernel of the first {n} column(s) of Q does not project onto the "
+                f"first {self.r.shape[1] - m} coordinate(s) ({ratios})"
+            )
         return r22.T * np.sign(np.diag(r22))
 
 

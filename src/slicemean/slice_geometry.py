@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .affine_model import ValidatedProblem, truncated_matrix
-from .errors import BelowMinN, RankDeficient, SliceEmpty
+from .affine_model import _MAX_COUNT, ValidatedProblem, truncated_matrix
+from .errors import BelowMinN, Infeasible, RankDeficient, SliceEmpty
 from .numlin import log_surface_constant
 
 
@@ -63,13 +63,17 @@ def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     """Slice geometry at truncation dimension n.
 
-    Raises, in this order: RankDeficient when the truncated constraints lose
+    Raises, in this order: Infeasible for n > 2**53 (beyond it n is not
+    exact as a float), RankDeficient when the truncated constraints lose
     numerical rank at an n >= n_min, SliceEmpty when the sphere does not
     reach the constraint set (n <= |center|^2), BelowMinN for n < n_min, and
     RankDeficient or ProjectionNotOnto when the stacked rank rule fails at
-    this n (see ``validate``).
+    this n (see ``validate``). The rank errors come from the QR's own
+    ``center`` and ``gram_factor``.
     """
     n = int(n)
+    if n > _MAX_COUNT:
+        raise Infeasible(f"N = {n} exceeds 2**53, the largest supported N")
     problem = validated.problem
     k, m = validated.k, validated.m
     # Emptiness is diagnosed before the min-N gate so that a skipped sweep
@@ -79,7 +83,6 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     if n < problem.width:
         qr = numlin.StackedQR(truncated_matrix(problem, n), k)
         try:
-            qr.require_rank()
             z0n = qr.center(problem.w0)
         except RankDeficient:
             if n >= validated.n_min:
@@ -91,10 +94,7 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
             raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
     if n < validated.n_min:
         raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
-    chol = validated.chol
-    if qr is not None:
-        qr.require_onto()
-        chol = qr.gram_factor()
+    chol = validated.chol if qr is None else qr.gram_factor()
     d = n - 1
     a_z = math.sqrt(n - center_sq)
     exponent = 0.5 * (d - k - m - 1)

@@ -11,13 +11,11 @@ axes, x has shape (..., k).
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affine_model import ValidatedProblem, _is_int
+from .affine_model import ValidatedProblem, _finite_array, _is_finite_number, _is_int
 
 LP_ALL = "L^p for all p"
 LP_ONE = "L^1 only"
@@ -25,16 +23,16 @@ LP_ONE = "L^1 only"
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A function of the first k coordinates; ``lp_class`` is the one
+    declaration that gates every limit, through ``in_lp_above_one``."""
+
     kind = "abstract"
     lp_class = LP_ALL
-    #: growth dominated by a sub-Gaussian envelope, so tensor Gauss-Hermite
-    #: quadrature of the limit converges
-    gauss_hermite_ok = True
 
     @property
-    def sweep_admissible(self) -> bool:
-        """Whether the declared integrability satisfies the L^p (p > 1)
-        hypothesis of the convergence sweep."""
+    def in_lp_above_one(self) -> bool:
+        """Whether the declared integrability meets the limit theorem's
+        hypothesis: L^p for some p > 1 against the limiting Gaussian."""
         return self.lp_class != LP_ONE
 
     def fits(self, k: int) -> bool:
@@ -46,20 +44,6 @@ class TestFunction:
         raise NotImplementedError
 
 
-def _is_finite_number(value) -> bool:
-    # NaN fails the comparison, and a 400-digit int compares exactly; bool and
-    # str are not numbers here
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _finite_vector(values, name: str) -> np.ndarray:
-    entries = np.asarray(values, dtype=object).reshape(-1)
-    if not all(_is_finite_number(v) for v in entries):
-        raise ValueError(f"{name} must hold finite numbers, got {values!r}")
-    return entries.astype(float)
-
-
 @dataclass(frozen=True)
 class _LinearWave(TestFunction):
     """wave(<t, x>) for a direction t of k entries; subclasses set the wave, a
@@ -68,7 +52,7 @@ class _LinearWave(TestFunction):
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _finite_vector(self.t, "t"))
+        object.__setattr__(self, "t", _finite_array(self.t, "t").reshape(-1))
 
     def fits(self, k: int) -> bool:
         return self.t.size == k
@@ -131,7 +115,7 @@ class IndicatorBall(TestFunction):
     kind = "indicator_ball"
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _finite_vector(self.center, "center"))
+        object.__setattr__(self, "center", _finite_array(self.center, "center").reshape(-1))
         if not (_is_finite_number(self.radius) and self.radius > 0):
             raise ValueError(f"ball radius must be a positive finite number, got {self.radius!r}")
 
@@ -168,14 +152,13 @@ class CounterexampleG(TestFunction):
     """g(x) = exp(x^2/2) / (1 + x^2) on the line (k = 1).
 
     Integrable against the centered unit Gaussian but against no shifted
-    copy of it, hence declared L^1 only and inadmissible for convergence
-    sweeps. Evaluated as exp(x^2/2 - log1p(x^2)) so the quotient never
+    copy of it, hence declared L^1 only: outside the limit theorem's
+    hypothesis. Evaluated as exp(x^2/2 - log1p(x^2)) so the quotient never
     overflows before the division.
     """
 
     kind = "counterexample_g"
     lp_class = LP_ONE
-    gauss_hermite_ok = False
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)

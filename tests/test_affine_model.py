@@ -157,6 +157,24 @@ class TestProblemType:
         with pytest.raises(ValueError):
             AffineProblem(q=[[np.inf, 1.0]], w0=[0.0], k=1)
 
+    @pytest.mark.parametrize(
+        "q, w0",
+        [
+            ([[3.0, 4.0]], True),
+            ([[3.0, 4.0]], ["1"]),
+            ([[3.0, 4.0]], [[[1.0]]]),
+            ([[3.0, True]], [5.0]),
+            ([[3.0, "4"]], [5.0]),
+            ([[3.0, 10**400]], [5.0]),
+        ],
+        ids=["w0_bool", "w0_str", "w0_nested", "q_bool", "q_str", "q_huge"],
+    )
+    def test_rejects_entries_that_are_not_finite_numbers(self, q, w0):
+        # each was converted by float(): true ran as 1, "1" as 1, and a nested
+        # w0 was flattened
+        with pytest.raises(ValueError, match="w0|Q"):
+            AffineProblem(q=q, w0=w0, k=1)
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             AffineProblem(q=[[1.0, 0.0]], w0=[0.0], k=0)

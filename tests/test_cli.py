@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -30,12 +32,12 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "slicemean", *args],
         capture_output=True,
         text=True,
-        timeout=600,
+        timeout=timeout,
     )
 
 
@@ -145,6 +147,28 @@ class TestSliceAndLimit:
         assert payload["closed_form"] == pytest.approx(math.exp(-0.32) * math.cos(0.6))
         assert payload["gauss_hermite"]["value"] == pytest.approx(payload["closed_form"])
         assert payload["covariance"] == [[pytest.approx(0.64)]]
+
+    def test_slice_refuses_l1_only_function_before_evaluating(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # slice ran quadrature and MC, then exited 2 at the Gauss-Hermite limit
+        def evaluated(*args, **kwargs):
+            raise AssertionError("slice evaluated an L^1-only function")
+
+        for name in ("build_slice", "slice_mean_quadrature", "slice_mean_mc"):
+            monkeypatch.setattr(cli, name, evaluated)
+        cfg = write_config(tmp_path, function={"kind": "counterexample_g", "params": {}})
+        assert cli.main(["slice", "--n", "64", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: function 'counterexample_g' is declared L^1 only")
+        assert "p > 1" in err
+
+    def test_limit_of_l1_only_function_takes_monte_carlo(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, function={"kind": "counterexample_g", "params": {}})
+        assert cli.main(["limit", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "gauss_hermite" not in payload and "closed_form" not in payload
+        assert payload["monte_carlo"]["n_evals"] == 20000
+        assert math.isfinite(payload["monte_carlo"]["value"])
 
     def test_limit_monte_carlo_branch(self, tmp_path):
         # k = 4 rules out the tensor Hermite rule; the constant function makes
@@ -361,6 +385,14 @@ def _malformed_cases():
         "q_unknown": ("slice", {"problem": {**problem, "Q": {**dims, "layout": "C"}}}, "'layout'"),
         "q_rows_float": ("slice", {"problem": {**problem, "Q": {**dims, "rows": 1.0}}}, "rows"),
         "w0_nan": ("slice", {"problem": {**problem, "w0": [math.nan]}}, _PROBLEM_ERROR),
+        # these five ran with exit 0: float() took true as 1 and "1" as 1,
+        # and a nested w0 was flattened
+        "w0_bool": ("slice", {"problem": {**problem, "w0": True}}, _PROBLEM_ERROR),
+        "w0_str": ("slice", {"problem": {**problem, "w0": ["1"]}}, _PROBLEM_ERROR),
+        "w0_nested": ("slice", {"problem": {**problem, "w0": [[[1]]]}}, _PROBLEM_ERROR),
+        "q_nested_bool": ("slice", {"problem": {**problem, "Q": [[3.0, True]]}}, _PROBLEM_ERROR),
+        "q_entries_bool": ("slice", {"problem": {**problem, "Q": {**dims, "entries": [True, 4]}}},
+                           _PROBLEM_ERROR),
         "w0_huge": ("slice", {"problem": {**problem, "w0": [_HUGE]}}, _PROBLEM_ERROR),
         "q_nested_huge": ("slice", {"problem": {**problem, "Q": [[3.0, _HUGE]]}}, _PROBLEM_ERROR),
         "q_entries_huge": ("slice", {"problem": {**problem, "Q": {**dims, "entries": [_HUGE, 4]}}},
@@ -527,3 +559,52 @@ def test_csv_files_match_printed_tables(tmp_path):
     table = probe_csv.read_text().splitlines(keepends=True)
     assert len(table) == 5
     assert probe.stdout.splitlines(keepends=True)[: len(table)] == table
+
+
+@pytest.mark.parametrize(
+    "argv, overrides",
+    [
+        (["sweep"], {"schedule": [_HUGE]}),
+        (["slice", "--n", str(_HUGE)], {}),
+        (["slice", "--n", "64"], {"mc": {"n_samples": _HUGE}}),
+    ],
+    ids=["schedule", "slice_n", "mc_n_samples"],
+)
+def test_count_beyond_2_53_is_refused(tmp_path, argv, overrides):
+    # each was an OverflowError traceback with exit 1: N and every count
+    # stop at 2**53, below which every float made from them is exact
+    proc = run_cli(*argv, "--config", write_config(tmp_path, **overrides), timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "2**53" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "z, r, code, out",
+    [
+        (0.3, 1e7, 2, None),
+        (0.0, 1e300, 0, "0.0,1e+300,1.2533141373155015\n"),
+    ],
+    ids=["shifted_overflows", "centered_huge_r"],
+)
+def test_counterexample_returns_for_a_huge_r(tmp_path, z, r, code, out):
+    # neither returned: a shifted column kept adding panels after its sum had
+    # overflowed, and the centered one capped its panel widths at 48 / 1e-12
+    cfg = write_config(tmp_path, counterexample={"z": [z], "R": [r]})
+    proc = run_cli("counterexample", "--config", cfg, timeout=60)
+    assert proc.returncode == code
+    if out is None:
+        assert "float64" in proc.stderr and "Traceback" not in proc.stderr
+    else:
+        assert proc.stdout.splitlines(keepends=True)[1] == out
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the table under README "## CLI" lists, per subcommand, the flags it reads
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        name: re.findall(r"--[a-z]+", flags)
+        for name, flags in re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    }
+    assert documented == {name: list(flags) for name, (_, flags) in cli._COMMANDS.items()}

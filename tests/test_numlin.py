@@ -9,11 +9,13 @@ from scipy.special import gamma
 
 from slicemean import (
     AffineProblem,
+    ProjectionNotOnto,
     RankDeficient,
     kernel_onb,
     log_surface_constant,
 )
 from slicemean.affine_model import least_norm_center
+from slicemean.numlin import StackedQR
 
 
 def least_norm(q, w):
@@ -96,6 +98,31 @@ class TestLeastNorm:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             least_norm([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+class TestStackedQRRules:
+    """Each result of the QR refuses to exist where its rank rule fails."""
+
+    def test_center_needs_full_row_rank(self):
+        # the rows are dependent to 1e-13: the solve returned entries near 2e13
+        qr = StackedQR(np.array([[1.0, 2.0, 0.0], [2.0, 4.0 + 1e-13, 0.0]]), 1)
+        with pytest.raises(RankDeficient, match=r"^rank < 2 on the first 3 column\(s\) of Q$"):
+            qr.center(np.array([1.0, 1.0]))
+
+    def test_gram_factor_needs_the_onto_margin(self):
+        # ker [1, 0] is the x2 axis, which misses R^1: the factor was [[0.]]
+        qr = StackedQR(np.array([[1.0, 0.0]]), 1)
+        with pytest.raises(ProjectionNotOnto) as exc:
+            qr.gram_factor()
+        assert str(exc.value) == (
+            "the kernel of the first 2 column(s) of Q does not project onto the first "
+            "1 coordinate(s) (sigma_m/sigma_1 of Q 1, sigma_min of R22 0)"
+        )
+
+    def test_gram_factor_names_a_rank_failure(self):
+        qr = StackedQR(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), 1)
+        with pytest.raises(RankDeficient, match=r"^rank < 2 on the first 3 column\(s\) of Q \("):
+            qr.gram_factor()
 
 
 class TestLogSurfaceConstant:

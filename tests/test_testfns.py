@@ -70,13 +70,12 @@ class TestMetadata:
     def test_counterexample_is_l1_only_and_refused(self):
         g = CounterexampleG()
         assert g.lp_class == LP_ONE
-        assert not g.sweep_admissible
-        assert not g.gauss_hermite_ok
+        assert not g.in_lp_above_one
 
     def test_monomial_metadata(self, fix_c):
         assert known_limit(Monomial(alpha=(1, 1)), fix_c) is not None
         assert known_limit(Monomial(alpha=(3, 0)), fix_c) is None
-        assert Monomial(alpha=(2,)).sweep_admissible
+        assert Monomial(alpha=(2,)).in_lp_above_one
 
     def test_fits(self):
         # a direction or center has exactly k entries, a monomial at most k
