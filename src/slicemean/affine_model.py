@@ -49,14 +49,8 @@ def _is_finite_number(value) -> bool:
 def _finite_array(values, name: str) -> np.ndarray:
     """``values`` as a float array of the same shape; ValueError unless every
     entry is a finite number in the sense of ``_is_finite_number``."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        # every entry of a numeric array is a real number; finiteness is left
-        entries = values.astype(float)
-        finite = bool(np.isfinite(entries).all())
-    else:
-        entries = np.asarray(values, dtype=object)
-        finite = all(_is_finite_number(v) for v in entries.reshape(-1))
-    if not finite:
+    entries = np.asarray(values, dtype=object)
+    if not all(_is_finite_number(v) for v in entries.reshape(-1)):
         raise ValueError(f"{name} must hold finite numbers, got {values!r}")
     return entries.astype(float)
 

@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import harness
-from .affine_model import _MAX_COUNT, validate
+from .affine_model import validate
 from .errors import ConfigError, InadmissibleFunction, SliceMeanError, UnsupportedDimension
-from .integrators import gaussian_limit, slice_mean_mc, slice_mean_quadrature
+from .integrators import _require_lp, gaussian_limit, slice_mean_mc, slice_mean_quadrature
 from .slice_geometry import build_slice
 from .testfns import known_limit
 
@@ -28,14 +28,8 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
-def _truncation_dimension(text: str) -> int:
-    if int(text) > _MAX_COUNT:
-        raise argparse.ArgumentTypeError(f"must be at most 2**53, got {text}")
-    return int(text)
-
-
 _FLAGS = {
-    "--n": dict(type=_truncation_dimension, required=True, help="truncation dimension N"),
+    "--n": dict(type=int, required=True, help="truncation dimension N"),
     "--threads": dict(type=_thread_count, default=1, help="worker threads (default 1)"),
     "--seed": dict(type=int, default=None, help="overrides the config seed"),
     "--csv": dict(default=None, help="CSV output path"),
@@ -96,11 +90,12 @@ def cmd_slice(args) -> int:
     cfg = _load(args)
     validated = validate(harness.problem_from_config(cfg))
     fn = harness.function_from_config(cfg)
-    limit = harness.limit_value(validated, fn)
+    _require_lp(fn)
     geom = build_slice(validated, args.n)
     quad = slice_mean_quadrature(geom, fn, harness.quad_config(cfg))
     seed = harness.config_seed(cfg, args.seed)
     mc = slice_mean_mc(geom, fn, harness.mc_config(cfg, seed), threads=args.threads)
+    limit = harness.limit_value(validated, fn)
     print(
         json.dumps(
             {

@@ -132,8 +132,7 @@ def problem_from_config(cfg: dict) -> AffineProblem:
                 raise ValueError(f"Q rows and cols must be integers, got {rows!r} x {cols!r}")
             q = as_matrix(rows, cols, q["entries"])
         return AffineProblem(q=q, w0=section["w0"], k=section["k"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a JSON integer beyond the float range in Q or w0
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'problem' section: {exc}") from exc
 
 
