@@ -178,6 +178,11 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
       * N exceeds the squared norm of the truncated closest point
         (the slice sphere has positive radius).
 
+    The scan takes one QR per N. It starts at the first N at which every row
+    of Q has a nonzero entry (below it [Q_N^T | E_k^T] has a zero column, so
+    the rank rule fails) and stops below the width, where the QR above
+    decides: the width is factored once.
+
     ``rank_checks["rank_margin"]`` is the stacked sigma_(m+k) / sigma_1 at
     min(n_min, width): how far the accepted truncation sits above the cutoff.
 
@@ -197,8 +202,10 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     margin = qr.margin
     z0 = qr.center(problem.w0)
 
+    # the first N at which every row of Q has a nonzero entry
+    first = int((problem.q != 0).argmax(axis=1).max()) + 1
     n_min = None
-    for n in range(k + m + 2, w + 1):
+    for n in range(max(k + m + 2, first), w):
         qr = numlin.StackedQR(truncated_matrix(problem, n), k)
         ratio = qr.margin
         if ratio <= numlin.DEFAULT_TOL:
@@ -208,9 +215,9 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
             n_min, margin = n, ratio
             break
     if n_min is None:
-        # Beyond the stabilization width only the radius condition can bind.
+        # From the stabilization width on only the radius condition can bind.
         z0_sq = float(z0 @ z0)
-        n_min = max(w + 1, k + m + 2, math.floor(z0_sq) + 1)
+        n_min = max(w, k + m + 2, math.floor(z0_sq) + 1)
         if n_min > DEFAULT_N_CAP:
             raise Infeasible(
                 f"no admissible N <= {DEFAULT_N_CAP}: need N > |z0|^2 = {z0_sq:g}"

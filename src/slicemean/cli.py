@@ -11,7 +11,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import harness
@@ -63,13 +62,20 @@ def _load(args) -> dict:
     return harness.load_config(args.config)
 
 
+def _write(path: str | None, text: str):
+    """Write ``text`` to ``path`` and say so, when a path is given."""
+    if path:
+        harness.write_text(path, text)
+        print(f"wrote {path}")
+
+
 def cmd_validate(args) -> int:
     """Check the problem hypotheses."""
     cfg = _load(args)
     problem = harness.problem_from_config(cfg)
     validated = validate(problem)
     print(
-        json.dumps(
+        harness.json_text(
             {
                 "m": problem.m,
                 "s": problem.s,
@@ -77,9 +83,7 @@ def cmd_validate(args) -> int:
                 "n_min": validated.n_min,
                 "z0": [float(v) for v in validated.z0],
                 "rank_checks": validated.rank_checks,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     )
     return 0
@@ -97,7 +101,7 @@ def cmd_slice(args) -> int:
     mc = slice_mean_mc(geom, fn, harness.mc_config(cfg, seed), threads=args.threads)
     limit = harness.limit_value(validated, fn)
     print(
-        json.dumps(
+        harness.json_text(
             {
                 "N": geom.n,
                 "a_z": geom.a_z,
@@ -108,9 +112,7 @@ def cmd_slice(args) -> int:
                 "mc_value": mc.value,
                 "mc_stderr": mc.err_estimate,
                 "limit_value": limit,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
     )
     return 0
@@ -143,7 +145,7 @@ def cmd_limit(args) -> int:
             "err_estimate": res.err_estimate,
             "n_evals": res.n_evals,
         }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(harness.json_text(payload))
     return 0
 
 
@@ -158,10 +160,12 @@ def cmd_sweep(args) -> int:
     if not rows:
         print("error: sweep produced no rows", file=sys.stderr)
         return 2
+    table = harness.sweep_csv(rows)
     if not args.csv:
-        print(harness.sweep_csv(rows), end="")
-    for path in harness.emit_outputs(rows, args.csv, args.svg):
-        print(f"wrote {path}")
+        print(table, end="")
+    _write(args.csv, table)
+    if args.svg:
+        _write(args.svg, harness.sweep_svg(rows))
     rate = harness.observed_rate(rows)
     if rate is not None:
         print(f"observed abs_error ~ N^{rate:.2f} (reported, not asserted)")
@@ -173,9 +177,7 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     report = harness.run_verify(cfg, threads=args.threads, seed=args.seed)
     print(report.to_json())
-    if args.csv:
-        harness.write_text(args.csv, report.to_csv())
-        print(f"wrote {args.csv}")
+    _write(args.csv, report.to_csv())
     return 0 if report.all_passed else 1
 
 
@@ -187,9 +189,7 @@ def cmd_counterexample(args) -> int:
     print(table, end="")
     for line in summary:
         print(line)
-    if args.csv:
-        harness.write_text(args.csv, table)
-        print(f"wrote {args.csv}")
+    _write(args.csv, table)
     return 0
 
 

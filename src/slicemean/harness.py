@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,10 @@ from .affine_model import (
 )
 from .errors import ConfigError, SliceMeanError
 from .integrators import (
+    PROBE_MAX_SHIFT,
     McConfig,
     QuadConfig,
+    _ordered_map,
     _require_lp,
     counterexample_probe,
     gaussian_limit,
@@ -95,7 +96,7 @@ class VerifyReport:
                 for c in self.checks
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_text(payload)
 
     def to_csv(self) -> str:
         return csv_text(
@@ -205,10 +206,11 @@ def _counterexample_grid(cfg: dict):
     section = _object("counterexample", cfg.get("counterexample", {}), {"z", "R"})
     grid = {"z": [0.0, 0.3], "R": [1.0, 10.0, 100.0, 1000.0], **section}
     for key, values in grid.items():
-        if not (isinstance(values, list) and values
-                and all(_is_finite_number(v) and (key == "z" or v > 0) for v in values)):
-            raise ConfigError(f"counterexample.{key} must be a non-empty list of finite "
-                              f"numbers, every R > 0; got {values!r}")
+        if not (isinstance(values, list) and values and all(
+                _is_finite_number(v) and (abs(v) <= PROBE_MAX_SHIFT if key == "z" else v > 0)
+                for v in values)):
+            raise ConfigError(f"counterexample.{key} must be a non-empty list of finite numbers, "
+                              f"every |z| <= {PROBE_MAX_SHIFT:g} and every R > 0; got {values!r}")
     return [float(z) for z in grid["z"]], sorted(float(r) for r in grid["R"])
 
 
@@ -305,12 +307,7 @@ def run_sweep(
         )
         return row, None
 
-    if threads > 1 and len(schedule) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_row, schedule))
-    else:
-        outcomes = [one_row(n) for n in schedule]
-
+    outcomes = _ordered_map(one_row, schedule, threads)
     rows = [row for row, _ in outcomes if row is not None]
     notes = [note for _, note in outcomes if note is not None]
     return rows, notes
@@ -784,26 +781,20 @@ def counterexample_csv(rows) -> str:
     return csv_text("z,R,value", ((row["z"], row["R"], row["value"]) for row in rows))
 
 
+def json_text(payload) -> str:
+    """Every JSON document the package emits, as text: two-space indent, keys
+    sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def emit_outputs(rows, csv_path: str | None, svg_path: str | None = None):
-    """Write the sweep CSV and the SVG error chart, each when its path is given.
-
-    Returns the list of paths written. Raises ValueError on empty rows when a
-    path is given; IO errors propagate to the caller (the CLI maps them to exit code 2).
-    """
-    if csv_path:
-        write_text(csv_path, sweep_csv(rows))
-    if svg_path:
-        emit_svg(rows, svg_path)
-    return [path for path in (csv_path, svg_path) if path]
-
-
-def emit_svg(rows, path: str):
-    """Self-contained log-log SVG chart: abs_error and quad_err versus N."""
+def sweep_svg(rows) -> str:
+    """The sweep chart, a self-contained log-log SVG: abs_error and quad_err
+    versus N."""
     if not rows:
         raise ValueError("no rows to plot")
     width, height = 640.0, 480.0
@@ -859,4 +850,4 @@ def emit_svg(rows, path: str):
             f'<text x="{width - right - 100:.1f}" y="{y + 4:.1f}" font-size="12">{name}</text>'
         )
     parts.append("</svg>")
-    write_text(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

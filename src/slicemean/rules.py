@@ -40,9 +40,8 @@ same value, bit for bit, so whichever insert lands last is harmless.
 Each memo has a fixed cap, with the least recently used rule dropped
 first. At the node counts the library asks for (at most 512 radial nodes,
 8 KB a rule; at most 256 directions, 8 KB a set) full caches hold about
-4.5 MB. The Gauss-Hermite and Gauss-Legendre rules are built on each call:
-the Gaussian limit asks for two per evaluation and the counterexample
-probe one per panel, so a memo would rarely be hit.
+4.5 MB. The Gauss-Hermite rule is built on each call: the Gaussian limit
+asks for two per evaluation, so a memo would rarely be hit.
 """
 
 from __future__ import annotations
@@ -199,13 +198,6 @@ def _sphere_directions(k, angular_nodes):
             wts[sl] = 0.5 * w_polar[i] / n_az
         return _read_only(pts, wts)
     raise ValueError(f"no deterministic direction rule for k = {k}")
-
-
-def gauss_legendre_panel(lo: float, hi: float, n_nodes: int):
-    """Gauss-Legendre nodes/weights mapped to the interval [lo, hi]."""
-    x, w = leggauss(n_nodes)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
 
 
 def gauss_hermite_prob(n_nodes: int):

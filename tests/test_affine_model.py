@@ -14,6 +14,7 @@ from slicemean import (
     RankDeficient,
     build_slice,
     kernel_onb,
+    numlin,
     validate,
 )
 from slicemean.affine_model import least_norm_center, truncated_matrix
@@ -94,6 +95,80 @@ def test_wide_support():
     assert geom.chol.shape == (2, 2)
     assert elapsed < 0.5
     assert peak < 20e6
+
+
+def _brute_force_n_min(problem):
+    """(n_min, rank_margin, z0) from one StackedQR at every N from k + m + 2
+    through the width, then the radius rule beyond the width."""
+    m, k, w = problem.m, problem.k, problem.width
+    at_width = numlin.StackedQR(truncated_matrix(problem, w), k)
+    z0 = at_width.center(problem.w0)
+    for n in range(k + m + 2, w + 1):
+        qr = numlin.StackedQR(truncated_matrix(problem, n), k)
+        if qr.margin > numlin.DEFAULT_TOL:
+            zn = qr.center(problem.w0)
+            if n > float(zn @ zn):
+                return n, qr.margin, z0
+    return max(w + 1, k + m + 2, math.floor(float(z0 @ z0)) + 1), at_width.margin, z0
+
+
+def _leading_zero_problems(rng, count):
+    """Random validated problems whose rows start with runs of zero columns."""
+    out = []
+    while len(out) < count:
+        m, k, s = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(5, 80))
+        q = rng.standard_normal((m, s))
+        for row in q:
+            row[: int(rng.integers(0, s))] = 0.0
+        w0 = rng.standard_normal(m) * rng.choice([0.5, 3.0, 10.0])
+        try:
+            out.append(validate(AffineProblem(q=q, w0=w0, k=k)))
+        except RankDeficient:
+            continue
+    return out
+
+
+def test_scan_matches_brute_force_with_leading_zero_columns():
+    # the scan starts where every row has a nonzero entry and leaves the
+    # width to the width's QR; a QR at every N must agree bit for bit
+    for validated in _leading_zero_problems(np.random.default_rng(8), 60):
+        n_min, margin, z0 = _brute_force_n_min(validated.problem)
+        assert validated.n_min == n_min
+        assert validated.rank_checks["rank_margin"] == margin
+        assert np.array_equal(validated.z0, z0)
+
+
+@pytest.mark.parametrize("w0, n_min", [([2.0], 8), ([3.0], 10)], ids=["at_width", "above_width"])
+def test_width_factored_once(monkeypatch, w0, n_min):
+    # n_min >= width 8: the scan below the width rejects every N (the row is
+    # zero there), and the width's QR is the only one at eight columns
+    widths = []
+
+    class Counting(numlin.StackedQR):
+        def __init__(self, q, k):
+            widths.append(q.shape[1])
+            super().__init__(q, k)
+
+    monkeypatch.setattr(numlin, "StackedQR", Counting)
+    validated = validate(AffineProblem(q=[np.eye(8)[7]], w0=w0, k=1))
+    assert validated.n_min == n_min
+    assert widths.count(8) == 1
+
+
+def test_late_support():
+    # rows nonzero only on their last 10 of 3 * 10^4 columns: the scan starts
+    # at the first N where every row has a nonzero entry, so the QRs of the
+    # zero-column truncations below it are not taken
+    rng = np.random.default_rng(3)
+    s = 3 * 10**4
+    q = np.zeros((3, s))
+    q[:, -10:] = rng.standard_normal((3, 10))
+    problem = AffineProblem(q=q, w0=0.5 * rng.standard_normal(3), k=2)
+    start = time.perf_counter()
+    validated = validate(problem)
+    elapsed = time.perf_counter() - start
+    assert s - 10 < validated.n_min <= s
+    assert elapsed < 1.0
 
 
 class TestClosestPoint:

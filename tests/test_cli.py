@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -32,12 +34,32 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
-def run_cli(*args, timeout=600):
+#: Address-space cap for the runs that must fail closed on extreme input.
+MEMORY_CAP = 1 << 30
+
+
+def _cap_address_space(limit):
+    def apply():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    return apply
+
+
+def run_cli(*args, timeout=600, max_memory=None):
+    """``python -m slicemean ARGS`` in a child process. With ``max_memory``
+    (bytes) the child's address space is capped and BLAS runs on one thread,
+    so the cap does not depend on the core count: a run that would use up
+    memory fails instead of taking the host's."""
+    capped = {}
+    if max_memory is not None:
+        one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        capped = dict(preexec_fn=_cap_address_space(max_memory), env={**os.environ, **one})
     return subprocess.run(
         [sys.executable, "-m", "slicemean", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        **capped,
     )
 
 
@@ -359,6 +381,7 @@ class TestCounterexampleCommand:
         ("verify", "mc_samples", 0),
         ("verify", "checks", 5),
         ("verify", "checks", "normalization"),
+        ("counterexample", "z", [0.0, -1000.5]),
     ],
 )
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value):
@@ -597,6 +620,25 @@ def test_counterexample_returns_for_a_huge_r(tmp_path, z, r, code, out):
         assert "float64" in proc.stderr and "Traceback" not in proc.stderr
     else:
         assert proc.stdout.splitlines(keepends=True)[1] == out
+
+
+@pytest.mark.parametrize(
+    "z, r, fragment",
+    [
+        (0.3, 1e12, "float64"),
+        (0.3, 1e300, "float64"),
+        (10**18, 2.0, "|z| <= 1000"),
+    ],
+    ids=["shifted_at_1e12", "shifted_at_1e300", "shift_beyond_bound"],
+)
+def test_counterexample_extreme_input_exits_2_within_a_memory_cap(tmp_path, z, r, fragment):
+    # the first two built one panel edge per 160 units of R before summing and
+    # ran out of memory; at |z| ~ 4e17 an edge plus a panel width rounds back
+    # to the edge, so the edge list grew without moving forward
+    cfg = write_config(tmp_path, counterexample={"z": [z], "R": [r]})
+    proc = run_cli("counterexample", "--config", cfg, timeout=60, max_memory=MEMORY_CAP)
+    assert proc.returncode == 2
+    assert fragment in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_readme_flag_table_matches_the_parser():

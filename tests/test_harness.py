@@ -230,11 +230,9 @@ class TestRunSweep:
 
 
 class TestEmission:
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         rows, _ = harness.run_sweep(config())
-        path = tmp_path / "rows.csv"
-        harness.emit_outputs(rows, str(path))
-        lines = path.read_text().strip().split("\n")
+        lines = harness.sweep_csv(rows).strip().split("\n")
         assert lines[0] == harness.CSV_HEADER
         assert len(lines) == len(rows) + 1
         for line, row in zip(lines[1:], rows):
@@ -244,30 +242,20 @@ class TestEmission:
             assert float(fields[1]) == row.quad_value
             assert float(fields[6]) == row.abs_error
 
-    def test_csv_refuses_empty(self, tmp_path):
+    def test_csv_refuses_empty(self):
         with pytest.raises(ValueError):
-            harness.emit_outputs([], str(tmp_path / "never.csv"))
+            harness.sweep_csv([])
 
-    def test_svg_well_formed(self, tmp_path):
+    def test_svg_well_formed(self):
         rows, _ = harness.run_sweep(config())
-        path = tmp_path / "chart.svg"
-        harness.emit_svg(rows, str(path))
-        root = ET.parse(path).getroot()
+        root = ET.fromstring(harness.sweep_svg(rows))
         assert root.tag.endswith("svg")
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 2
 
-    def test_svg_refuses_empty(self, tmp_path):
+    def test_svg_refuses_empty(self):
         with pytest.raises(ValueError):
-            harness.emit_svg([], str(tmp_path / "never.svg"))
-
-    def test_emit_outputs_writes_both(self, tmp_path):
-        rows, _ = harness.run_sweep(config())
-        csv_path = tmp_path / "rows.csv"
-        svg_path = tmp_path / "rows.svg"
-        written = harness.emit_outputs(rows, str(csv_path), str(svg_path))
-        assert written == [str(csv_path), str(svg_path)]
-        assert csv_path.exists() and svg_path.exists()
+            harness.sweep_svg([])
 
 
 class TestRunVerify:

@@ -334,7 +334,46 @@ def test_evaluators_refuse_function_that_does_not_fit(fix_b, fix_c, evaluator, c
         _EVALUATORS[evaluator](validated, fn)
 
 
+#: probe values to the last bit, on the default grid of ``slicemean
+#: counterexample`` and two shifted columns
+PINNED_PROBE = {
+    (0.0, 1.0): 0.6266570686577501,
+    (0.0, 10.0): 1.1737900582967766,
+    (0.0, 100.0): 1.2453355576530363,
+    (0.0, 1000.0): 1.2525162530206597,
+    (0.3, 1.0): 0.6064793956134023,
+    (0.3, 10.0): 1.5155978619031891,
+    (0.3, 100.0): 1459496162.6028554,
+    (0.3, 1000.0): 2.4860195044345e124,
+    (-0.7, 1000.0): 4.537234020741326e297,
+}
+
+
 class TestCounterexampleProbe:
+    @pytest.mark.parametrize("z, r", sorted(PINNED_PROBE))
+    def test_pinned_values(self, z, r):
+        assert counterexample_probe(z, r) == PINNED_PROBE[z, r]
+
+    def test_pinned_overflow(self):
+        with pytest.raises(NonFinite):
+            counterexample_probe(0.3, 1e6)
+
+    @pytest.mark.parametrize("z, r", [(1000.0, 1e300), (-1000.0, 1e300), (1000.0, 499.7)])
+    def test_largest_shift_returns_promptly(self, z, r):
+        # a pass walks about z^2/48 panels of width 48/|z| before its sum
+        # passes the float64 range; R = 499.7 stays just inside it
+        start = time.perf_counter()
+        try:
+            assert counterexample_probe(z, r) > 0.0
+        except NonFinite:
+            assert r > 500.0
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("z", [1000.5, -1e4, 1e18])
+    def test_rejects_shift_beyond_bound(self, z):
+        with pytest.raises(ValueError, match=r"\|z\| <= 1000"):
+            counterexample_probe(z, 2.0)
+
     def test_arctan_oracle_moderate(self):
         # closed form 2 arctan(R) / sqrt(2 pi)
         assert_allclose(

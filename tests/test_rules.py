@@ -17,12 +17,7 @@ from slicemean import (
     slice_mean_quadrature,
     validate,
 )
-from slicemean.rules import (
-    beta_radial_rule,
-    gauss_hermite_prob,
-    gauss_legendre_panel,
-    sphere_directions,
-)
+from slicemean.rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
 
 MEMOS = (rules._beta_radial_rule, rules._sphere_directions)
 
@@ -123,11 +118,6 @@ class TestSphereDirections:
 
 
 class TestGaussRules:
-    def test_legendre_panel(self):
-        x, w = gauss_legendre_panel(1.0, 3.0, 16)
-        assert_allclose(w.sum(), 2.0, rtol=1e-14)
-        assert_allclose((w * x**2).sum(), (27.0 - 1.0) / 3.0, rtol=1e-13)
-
     def test_hermite_prob_moments(self):
         x, w = gauss_hermite_prob(32)
         assert_allclose(w.sum(), 1.0, rtol=1e-14)
@@ -217,7 +207,7 @@ class TestMemo:
 
     @pytest.mark.parametrize(
         "name",
-        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob", "gauss_legendre_panel"],
+        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob"],
     )
     def test_public_names_stay_plain_functions(self, name):
         # the benchmark's tracer wraps only plain functions; a cache object
