@@ -21,10 +21,6 @@ import numpy as np
 from . import numlin
 from .errors import Infeasible
 
-#: Largest truncation dimension tried when searching for n_min.
-DEFAULT_N_CAP = 10**6
-
-
 #: Largest truncation dimension and sample count: every float computed from
 #: an integer up to 2**53 is exact.
 _MAX_COUNT = 2**53
@@ -105,18 +101,19 @@ class ValidatedProblem:
 
     z0 is the closest point to the origin on the constraint set, zero-padded
     to the stabilization width; n_min is the smallest truncation dimension at
-    which every per-N requirement holds (see ``validate`` for how a rank
-    decision can fail again above n_min). ``chol`` is the read-only
-    lower-triangular Cholesky factor, with positive diagonal, of the Gram
-    matrix G at the width: the covariance of the limiting Gaussian, and the
-    per-N factor for every N >= width.
+    which every per-N requirement holds, a report that ``build_slice`` does
+    not consult (see ``validate`` for how a rank decision can fail again
+    above n_min). ``chol`` is the read-only lower-triangular Cholesky factor,
+    with positive diagonal, of the Gram matrix G at the width: the covariance
+    of the limiting Gaussian, and the per-N factor for every N >= width.
+    ``rank_margin`` is the stacked sigma_(m+k) / sigma_1 at min(n_min, width).
     """
 
     problem: AffineProblem
     z0: np.ndarray
     n_min: int
     chol: np.ndarray = field(repr=False)
-    rank_checks: dict = field(repr=False)
+    rank_margin: float
 
     def __post_init__(self):
         self.chol.flags.writeable = False
@@ -166,7 +163,7 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
 
     Every decision is read off one thin QR of [Q_N^T | E_k^T]
     (``numlin.StackedQR``, E_k the first k coordinate rows) with the one
-    cutoff of ``numlin``, which ``rank_checks["tol"]`` reports. At the
+    cutoff, ``numlin.DEFAULT_TOL``. At the
     stabilization width, the stacked [Q; E_k] must have rank m + k: Q has
     full row rank and ker Q projects onto R^k (else RankDeficient or
     ProjectionNotOnto, raised by ``StackedQR.gram_factor`` as it gives the
@@ -183,18 +180,20 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     the rank rule fails) and stops below the width, where the QR above
     decides: the width is factored once.
 
-    ``rank_checks["rank_margin"]`` is the stacked sigma_(m+k) / sigma_1 at
-    min(n_min, width): how far the accepted truncation sits above the cutoff.
+    ``rank_margin`` is the stacked sigma_(m+k) / sigma_1 at min(n_min,
+    width): how far the accepted truncation sits above the cutoff.
 
-    In exact arithmetic each condition is monotone in N, so all would hold
-    for every N >= n_min. In floating point either ratio of a truncation
-    can dip below the cutoff at some N between n_min and the support width
-    (rows that are nearly dependent on their first N columns only);
-    build_slice raises RankDeficient or ProjectionNotOnto at such an N.
-    From the support width on, every condition holds.
+    n_min is reported, not enforced: ``build_slice`` judges each N by that
+    N's own rules, and fails at every N below n_min. In exact arithmetic
+    each condition is monotone in N, so all would hold for every N >= n_min.
+    In floating point either ratio of a truncation can dip below the cutoff
+    at some N between n_min and the support width (rows that are nearly
+    dependent on their first N columns only); build_slice raises
+    RankDeficient or ProjectionNotOnto at such an N. From the support width
+    on, every condition holds.
 
-    Raises RankDeficient, ProjectionNotOnto, or Infeasible (no N <=
-    DEFAULT_N_CAP).
+    Raises RankDeficient, ProjectionNotOnto, or Infeasible (n_min would
+    exceed 2**53, the largest supported N).
     """
     m, k, w = problem.m, problem.k, problem.width
     qr = numlin.StackedQR(truncated_matrix(problem, w), k)
@@ -218,17 +217,6 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
         # From the stabilization width on only the radius condition can bind.
         z0_sq = float(z0 @ z0)
         n_min = max(w, k + m + 2, math.floor(z0_sq) + 1)
-        if n_min > DEFAULT_N_CAP:
-            raise Infeasible(
-                f"no admissible N <= {DEFAULT_N_CAP}: need N > |z0|^2 = {z0_sq:g}"
-            )
-
-    checks = {
-        "rank_q": m,
-        "projection_onto": True,
-        "n_min": n_min,
-        "z0_norm_sq": float(z0 @ z0),
-        "tol": numlin.DEFAULT_TOL,
-        "rank_margin": margin,
-    }
-    return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, chol=chol, rank_checks=checks)
+        if n_min > _MAX_COUNT:
+            raise Infeasible(f"no admissible N <= 2**53: need N > |z0|^2 = {z0_sq:g}")
+    return ValidatedProblem(problem=problem, z0=z0, n_min=n_min, chol=chol, rank_margin=margin)

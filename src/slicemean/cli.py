@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
+from . import harness, numlin
 from .affine_model import validate
 from .errors import ConfigError, InadmissibleFunction, SliceMeanError, UnsupportedDimension
-from .integrators import _require_lp, gaussian_limit, slice_mean_mc, slice_mean_quadrature
+from .integrators import gaussian_limit, slice_mean_mc, slice_mean_quadrature
 from .slice_geometry import build_slice
 from .testfns import known_limit
 
@@ -74,6 +74,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     problem = harness.problem_from_config(cfg)
     validated = validate(problem)
+    z0 = validated.z0
     print(
         harness.json_text(
             {
@@ -81,8 +82,15 @@ def cmd_validate(args) -> int:
                 "s": problem.s,
                 "k": problem.k,
                 "n_min": validated.n_min,
-                "z0": [float(v) for v in validated.z0],
-                "rank_checks": validated.rank_checks,
+                "z0": [float(v) for v in z0],
+                "rank_checks": {
+                    "rank_q": problem.m,
+                    "projection_onto": True,
+                    "n_min": validated.n_min,
+                    "z0_norm_sq": float(z0 @ z0),
+                    "tol": numlin.DEFAULT_TOL,
+                    "rank_margin": validated.rank_margin,
+                },
             }
         )
     )
@@ -94,12 +102,11 @@ def cmd_slice(args) -> int:
     cfg = _load(args)
     validated = validate(harness.problem_from_config(cfg))
     fn = harness.function_from_config(cfg)
-    _require_lp(fn)
+    limit = harness.limit_value(validated, fn)
     geom = build_slice(validated, args.n)
     quad = slice_mean_quadrature(geom, fn, harness.quad_config(cfg))
     seed = harness.config_seed(cfg, args.seed)
     mc = slice_mean_mc(geom, fn, harness.mc_config(cfg, seed), threads=args.threads)
-    limit = harness.limit_value(validated, fn)
     print(
         harness.json_text(
             {

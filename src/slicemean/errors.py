@@ -16,12 +16,13 @@ class ProjectionNotOnto(SliceMeanError):
 
 
 class Infeasible(SliceMeanError):
-    """No admissible truncation dimension exists below the configured cap, or
-    the one requested exceeds 2**53, beyond which it is not exact as a float."""
+    """No admissible truncation dimension exists up to 2**53, or the one
+    requested exceeds 2**53: beyond it N is not exact as a float."""
 
 
 class BelowMinN(SliceMeanError):
-    """A per-dimension operation was requested below the minimal valid N."""
+    """A slice was requested at N < k + m + 2, where the disintegration
+    weight exponent would be negative."""
 
 
 class SliceEmpty(SliceMeanError):

@@ -272,9 +272,9 @@ def run_sweep(
 ):
     """Execute the configured sweep; returns (rows, notes).
 
-    Rows are ascending in N. An N at which no slice can be built (the
-    sphere misses the constraint set, N is below n_min, or the truncated
-    constraints lose rank) contributes a note instead of a row. A function
+    Rows are ascending in N. An N at which ``build_slice`` builds no slice
+    (N < k + m + 2, the truncated constraints lose rank, or the sphere
+    misses the constraint set) contributes a note instead of a row. A function
     outside L^p, p > 1, is refused by ``limit_value`` before any row runs.
     """
     validate_config(cfg)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numlin
 from .affine_model import _MAX_COUNT, ValidatedProblem, truncated_matrix
-from .errors import BelowMinN, Infeasible, RankDeficient, SliceEmpty
+from .errors import BelowMinN, Infeasible, SliceEmpty
 from .numlin import log_surface_constant
 
 
@@ -61,39 +61,35 @@ def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
 
 
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
-    """Slice geometry at truncation dimension n.
+    """Slice geometry at truncation dimension n, judged by n's own rules.
 
     Raises, in this order: Infeasible for n > 2**53 (beyond it n is not
-    exact as a float), RankDeficient when the truncated constraints lose
-    numerical rank at an n >= n_min, SliceEmpty when the sphere does not
-    reach the constraint set (n <= |center|^2), BelowMinN for n < n_min, and
-    RankDeficient or ProjectionNotOnto when the stacked rank rule fails at
-    this n (see ``validate``). The rank errors come from the QR's own
-    ``center`` and ``gram_factor``.
+    exact as a float); BelowMinN for n < k + m + 2 (the weight exponent would
+    be negative), before any factorization; below the support width,
+    RankDeficient when the truncated constraints lose numerical rank;
+    SliceEmpty when the sphere does not reach the constraint set (n <=
+    |center|^2); and below the width, RankDeficient or ProjectionNotOnto when
+    the stacked rank rule fails at this n (see ``validate``). The rank errors
+    come from the QR's own ``center`` and ``gram_factor``. ``validated.n_min``
+    is not enforced here (BelowMinN only quotes it): every n below it fails
+    one of these rules.
     """
     n = int(n)
     if n > _MAX_COUNT:
         raise Infeasible(f"N = {n} exceeds 2**53, the largest supported N")
     problem = validated.problem
     k, m = validated.k, validated.m
-    # Emptiness is diagnosed before the min-N gate so that a skipped sweep
-    # row names the geometric obstruction when both conditions fail.
+    if n < k + m + 2:
+        # n_min >= k + m + 2, so the message holds
+        raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
     qr = None
     z0n = validated.z0
     if n < problem.width:
         qr = numlin.StackedQR(truncated_matrix(problem, n), k)
-        try:
-            z0n = qr.center(problem.w0)
-        except RankDeficient:
-            if n >= validated.n_min:
-                raise
-            z0n = None
-    if z0n is not None:
-        center_sq = float(z0n @ z0n)
-        if n <= center_sq:
-            raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
-    if n < validated.n_min:
-        raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
+        z0n = qr.center(problem.w0)
+    center_sq = float(z0n @ z0n)
+    if n <= center_sq:
+        raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
     chol = validated.chol if qr is None else qr.gram_factor()
     d = n - 1
     a_z = math.sqrt(n - center_sq)

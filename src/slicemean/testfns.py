@@ -153,8 +153,12 @@ class CounterexampleG(TestFunction):
 
     Integrable against the centered unit Gaussian but against no shifted
     copy of it, hence declared L^1 only: outside the limit theorem's
-    hypothesis. Evaluated as exp(x^2/2 - log1p(x^2)) so the quotient never
-    overflows before the division.
+    hypothesis. The declaration is exact when the limit has unit variance.
+    Against a limit of variance s^2 < 1, g is in L^p for every p < 1/s^2
+    (p < 1.5625 on the oblique fixture, s^2 = 0.64), so the refusal there
+    is stricter than the theorem needs; for s^2 > 1, g is not integrable.
+    Evaluated as exp(x^2/2 - log1p(x^2)) so the quotient never overflows
+    before the division.
     """
 
     kind = "counterexample_g"

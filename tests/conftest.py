@@ -57,3 +57,14 @@ def onto_dip():
     q1 = e[0] + 6e-10 * np.array([0.0, 0.3, -1.0, 0.5, 0.7, 0.0, 0.0]) + e[6]
     q2 = np.array([0.3, 0.2, 0.5, 0.1, 0.4, 50.0, 0.0])
     return validate(AffineProblem(q=np.vstack([q1, q2]), w0=np.array([0.1, 0.1]), k=1))
+
+
+@pytest.fixture(scope="session")
+def late_support():
+    """Two rows of 12 columns, zero until columns 10 and 11; w0 = (0.1, 0.1),
+    k = 1. Q_N has a zero row for every N <= 10, so validate's n_min is 11,
+    while k + m + 2 is 5."""
+    q = np.zeros((2, 12))
+    q[0, 9:] = [1.0, 0.5, 0.3]
+    q[1, 10:] = [1.0, -0.7]
+    return validate(AffineProblem(q=q, w0=np.array([0.1, 0.1]), k=1))

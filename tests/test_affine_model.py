@@ -12,7 +12,9 @@ from slicemean import (
     Infeasible,
     ProjectionNotOnto,
     RankDeficient,
+    SliceMeanError,
     build_slice,
+    harness,
     kernel_onb,
     numlin,
     validate,
@@ -57,9 +59,16 @@ class TestValidate:
             validate(AffineProblem(q=[[1.0, 1.0]], w0=[0.0], k=3))
 
     def test_infeasible_when_center_too_far(self):
-        # the sphere of radius sqrt(N) never reaches |z0| = 2000 below the cap
+        # the sphere of radius sqrt(N) reaches |z0| = 1e8 only at N > 1e16,
+        # beyond 2**53, the largest supported N
         with pytest.raises(Infeasible):
-            validate(AffineProblem(q=[[0.0, 1.0]], w0=[2000.0], k=1))
+            validate(AffineProblem(q=[[0.0, 1.0]], w0=[1e8], k=1))
+
+    def test_far_center_validates(self):
+        # |z0|^2 = 4e6: the first N that reaches the constraint set is
+        # 4,000,001, and only 2**53 bounds it
+        validated = validate(AffineProblem(q=[[0.0, 1.0]], w0=[2000.0], k=1))
+        assert validated.n_min == 4_000_001
 
     def test_constraints_hold_at_center(self, fix_a3, fix_b, fix_c):
         for validated in (fix_a3, fix_b, fix_c):
@@ -70,10 +79,10 @@ class TestValidate:
 
     def test_rank_margin(self, fix_a3, fix_b, rank_dip):
         # sigma_(m+k) / sigma_1 of [Q_N; E_k] at N = min(n_min, width)
-        assert fix_a3.rank_checks["rank_margin"] == pytest.approx(1.0, rel=1e-14)
-        assert fix_b.rank_checks["rank_margin"] == pytest.approx(0.15767078, rel=1e-6)
+        assert fix_a3.rank_margin == pytest.approx(1.0, rel=1e-14)
+        assert fix_b.rank_margin == pytest.approx(0.15767078, rel=1e-6)
         # the rank-dip problem is accepted only just above the 1e-10 cutoff
-        assert rank_dip.rank_checks["rank_margin"] == pytest.approx(2.55e-10, rel=0.1)
+        assert rank_dip.rank_margin == pytest.approx(2.55e-10, rel=0.1)
 
 
 def test_wide_support():
@@ -134,8 +143,38 @@ def test_scan_matches_brute_force_with_leading_zero_columns():
     for validated in _leading_zero_problems(np.random.default_rng(8), 60):
         n_min, margin, z0 = _brute_force_n_min(validated.problem)
         assert validated.n_min == n_min
-        assert validated.rank_checks["rank_margin"] == margin
+        assert validated.rank_margin == margin
         assert np.array_equal(validated.z0, z0)
+
+
+def _passes_own_rules(validated, n):
+    """n >= n_min, and the StackedQR at min(n, width) passes the margin and
+    radius rules; no QR is taken below n_min."""
+    if n < validated.n_min:
+        return False
+    problem = validated.problem
+    qr = numlin.StackedQR(truncated_matrix(problem, min(n, problem.width)), problem.k)
+    if qr.margin <= numlin.DEFAULT_TOL:
+        return False
+    zn = qr.center(problem.w0)
+    return n > float(zn @ zn)
+
+
+def test_build_slice_succeeds_exactly_where_validate_allows(rank_dip, onto_dip, late_support):
+    # build_slice never reads n_min; the N at which it builds a slice are
+    # still exactly those validate's n_min and the per-N rules admit
+    rng = np.random.default_rng(7)
+    problems = [harness.random_validated(rng, s=int(rng.integers(5, 41))) for _ in range(100)]
+    problems += _leading_zero_problems(np.random.default_rng(8), 100)
+    problems += [rank_dip, onto_dip, late_support]
+    for validated in problems:
+        for n in range(-3, validated.problem.width + 4):
+            try:
+                build_slice(validated, n)
+                built = True
+            except SliceMeanError:
+                built = False
+            assert built == _passes_own_rules(validated, n), (validated.problem, n)
 
 
 @pytest.mark.parametrize("w0, n_min", [([2.0], 8), ([3.0], 10)], ids=["at_width", "above_width"])

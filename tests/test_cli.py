@@ -74,6 +74,33 @@ class TestValidateCommand:
         # sigma_2 / sigma_1 of [[3, 4], [1, 0]]
         assert payload["rank_checks"]["rank_margin"] == pytest.approx(0.15767078, rel=1e-6)
 
+    def test_fix_b_json_is_pinned(self, tmp_path, capsys):
+        # rank_checks is assembled by the command from the validated problem
+        assert cli.main(["validate", "--config", write_config(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "k": 1,\n  "m": 1,\n  "n_min": 4,\n  "rank_checks": {\n'
+            '    "n_min": 4,\n    "projection_onto": true,\n'
+            '    "rank_margin": 0.15767078078675456,\n    "rank_q": 1,\n'
+            '    "tol": 1e-10,\n    "z0_norm_sq": 1.0000000000000002\n  },\n'
+            '  "s": 2,\n  "z0": [\n    0.6000000000000001,\n    0.8\n  ]\n}\n'
+        )
+
+    def test_far_center_validates_and_slices(self, tmp_path, capsys):
+        # |z0|^2 = 4e6 was refused (no admissible N <= 10^6); only 2**53
+        # bounds N, and the slices there take milliseconds
+        cfg = write_config(tmp_path, problem={"Q": [[0.0, 1.0]], "w0": [2000.0], "k": 1})
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["n_min"] == 4_000_001
+        for n in ("4000001", "10000000"):
+            assert cli.main(["slice", "--n", n, "--config", cfg]) == 0
+            assert json.loads(capsys.readouterr().out)["N"] == int(n)
+
+    def test_no_admissible_n_up_to_2_53(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, problem={"Q": [[0.0, 1.0]], "w0": [1e8], "k": 1})
+        assert cli.main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: no admissible N <= 2**53: need N > |z0|^2 = 1e+16\n")
+
     def test_missing_config(self):
         proc = run_cli("validate", "--config", "/nonexistent/conf.json")
         assert proc.returncode == 2
@@ -184,6 +211,36 @@ class TestSliceAndLimit:
         assert err.startswith("error: function 'counterexample_g' is declared L^1 only")
         assert "p > 1" in err
 
+    def test_slice_and_sweep_refuse_k4_without_closed_form_alike(self, tmp_path, capsys):
+        # both take the limit first; slice printed the quadrature's refusal
+        cfg = write_config(
+            tmp_path,
+            problem={"Q": [[0.0, 0.0, 0.0, 0.0, 1.0]], "w0": [0.5], "k": 4},
+            function={"kind": "indicator_ball",
+                      "params": {"center": [0, 0, 0, 0], "radius": 1.0}},
+        )
+        errs = []
+        for argv in (["slice", "--n", "64"], ["sweep"]):
+            assert cli.main([*argv, "--config", cfg]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            "error: tensor Gauss-Hermite supports k <= 3; use Monte Carlo\n")
+
+    def test_slice_byte_identical_across_threads(self, tmp_path):
+        # 20,000 samples in shards of 4096: five shards on the pool
+        cfg = write_config(tmp_path)
+        outs = [run_cli("slice", "--n", "64", "--config", cfg, "--threads", t)
+                for t in ("1", "8")]
+        assert [p.returncode for p in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+
+    def test_limit_monte_carlo_byte_identical_rerun(self, tmp_path):
+        cfg = write_config(tmp_path, function={"kind": "counterexample_g", "params": {}})
+        outs = [run_cli("limit", "--config", cfg) for _ in range(2)]
+        assert [p.returncode for p in outs] == [0, 0]
+        assert "monte_carlo" in json.loads(outs[0].stdout)
+        assert outs[0].stdout == outs[1].stdout
+
     def test_limit_of_l1_only_function_takes_monte_carlo(self, tmp_path, capsys):
         cfg = write_config(tmp_path, function={"kind": "counterexample_g", "params": {}})
         assert cli.main(["limit", "--config", cfg]) == 0
@@ -276,6 +333,16 @@ class TestSweepCommand:
         assert "N=6: skipped" in proc.stderr
         rows = out_csv.read_text().strip().split("\n")[1:]
         assert [int(row.split(",")[0]) for row in rows] == [5, 7, 8]
+
+    def test_zero_row_notes_name_the_rank(self, tmp_path, late_support):
+        # below the first N at which every row has a nonzero entry the notes
+        # name the lost rank, not n_min
+        problem = {"Q": late_support.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}
+        cfg = write_config(tmp_path, problem=problem, schedule=[6, 9, 10, 11, 12])
+        rows, notes = harness.run_sweep(harness.load_config(cfg))
+        assert notes == [f"N={n}: skipped (rank < 2 on the first {n} column(s) of Q)"
+                         for n in (6, 9, 10)]
+        assert [row.n for row in rows] == [11, 12]
 
     def test_onto_dip_row_skipped(self, tmp_path, onto_dip):
         problem = {"Q": onto_dip.problem.q.tolist(), "w0": [0.1, 0.1], "k": 1}

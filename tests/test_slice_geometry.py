@@ -53,6 +53,29 @@ class TestBuildSlice:
         for n in (5, 7, 8):
             assert build_slice(onto_dip, n).n == n
 
+    @pytest.mark.parametrize("n", [-5, -1, 0])
+    def test_nonpositive_n_below_min_builds_nothing(self, monkeypatch, late_support, n):
+        # N < k + m + 2 is refused before any factorization: a negative N
+        # would wrap the column slicing of the 12-column matrix
+        built = []
+
+        class Counting(numlin.StackedQR):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(numlin, "StackedQR", Counting)
+        with pytest.raises(BelowMinN, match=rf"^N = {n} < n_min = 11$"):
+            build_slice(late_support, n)
+        assert built == []
+
+    @pytest.mark.parametrize("n", [6, 9, 10])
+    def test_zero_row_is_rank_deficient(self, late_support, n):
+        # k + m + 2 = 5 <= N < n_min = 11: Q_N has a zero row, and the QR's
+        # own center names the lost rank
+        with pytest.raises(RankDeficient, match=rf"^rank < 2 on the first {n} column\(s\) of Q$"):
+            build_slice(late_support, n)
+
     def test_one_factorization_per_truncation(self, monkeypatch, rank_dip):
         # below the support width (7) one StackedQR gives every per-N
         # quantity; from the width on, and for the limit, validate's is reused
