@@ -39,9 +39,12 @@ _CHUNK_ELEMS = 1 << 22
 
 #: Node counts of the first fine quadrature pass: radial nodes, and circle
 #: points for k = 2 or the direction budget for k = 3 (see
-#: ``sphere_directions``). The error check halves them; refinement doubles.
-_RADIAL_NODES = 128
+#: ``sphere_directions``). Each axis is checked against a pass with its own
+#: count halved, and an axis that misses doubles, up to its cap.
+_RADIAL_NODES = 32
 _ANGULAR_NODES = 64
+_RADIAL_CAP = 512
+_ANGULAR_CAP = 256
 
 #: Largest |z| the counterexample probe takes. Up to it exp(z x - z^2/2) is
 #: formed to about 1e-10 relative, and a pass needs at most about z^2/48
@@ -82,6 +85,7 @@ class IntegralResult:
     err_estimate: float
     n_evals: int
     diverged: bool = False
+    converged: bool = True
 
 
 def _require_fit(phi: TestFunction, k: int):
@@ -118,29 +122,46 @@ def slice_mean_quadrature(
 
     The weight's mass sits at radius O(1) while the slice radius grows like
     sqrt(N); the Beta-matched radial rule places its nodes accordingly, so
-    node counts need not grow with N. The error estimate is the difference
-    against a rule with half the nodes; if it misses target_rel_err the node
-    counts are doubled (at most twice). Halving the doubled counts gives the
-    previous rule back, so each refinement's coarse pass is the previous
-    fine pass and is not evaluated again.
+    node counts need not grow with N. The error is estimated per axis: the
+    radial estimate is the difference against the pass with half the radial
+    nodes, the angular one against half the angular count (k = 1 has none:
+    its two half-lines do not depend on the count). err_estimate is their
+    sum. While it misses target_rel_err, one axis whose own estimate is above
+    half the target doubles, the larger first, up to 512 radial nodes and 256
+    directions; that axis's new check is the previous fine pass, and the
+    other axis keeps its estimate. A result that stops with every axis that
+    misses at its cap has converged False.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
         )
-    n_rad, n_ang = _RADIAL_NODES, _ANGULAR_NODES
-    coarse, total_evals = _quad_pass(geom, phi, n_rad // 2, n_ang // 2)
-    for _ in range(3):
-        value, n_evals = _quad_pass(geom, phi, n_rad, n_ang)
+    counts = [_RADIAL_NODES, _ANGULAR_NODES]
+    caps = (_RADIAL_CAP, _ANGULAR_CAP)
+    value, total_evals = _quad_pass(geom, phi, *counts)
+    errs = [0.0, 0.0]
+    for axis in (0,) if geom.k == 1 else (0, 1):
+        half = list(counts)
+        half[axis] //= 2
+        check, n_evals = _quad_pass(geom, phi, *half)
         total_evals += n_evals
-        err = abs(value - coarse)
-        if err <= cfg.target_rel_err * max(1.0, abs(value)):
+        errs[axis] = abs(value - check)
+    while True:
+        tol = cfg.target_rel_err * max(1.0, abs(value))
+        converged = errs[0] + errs[1] <= tol
+        missing = [] if converged else [
+            axis for axis in (0, 1) if errs[axis] > 0.5 * tol and counts[axis] < caps[axis]]
+        if not missing:
             break
+        axis = max(missing, key=errs.__getitem__)
+        counts[axis] *= 2
         coarse = value
-        n_rad *= 2
-        n_ang *= 2
-    return IntegralResult(value=value, err_estimate=err, n_evals=total_evals)
+        value, n_evals = _quad_pass(geom, phi, *counts)
+        total_evals += n_evals
+        errs[axis] = abs(value - coarse)
+    return IntegralResult(value=value, err_estimate=errs[0] + errs[1], n_evals=total_evals,
+                          converged=converged)
 
 
 def _ordered_map(fn, items, threads: int) -> list:

@@ -83,28 +83,91 @@ class TestQuadrature:
         assert_allclose(x2.value, (32.0 - 1.0) / 31.0, rtol=1e-10)
 
     def test_refinement_reuses_fine_pass(self):
-        # halving a refinement's doubled node counts gives the previous fine
-        # rule, so a request refined twice evaluates one coarse pass and
-        # three fine passes, and its value and error are those of the last
-        # two rules
+        # each axis is checked against its own count halved; an axis that
+        # misses doubles, so its new check is the previous fine pass and no
+        # pass is evaluated twice. This k = 3 cosine is at round-off
+        # radially from the first pass, so only the direction budget
+        # doubles (64 -> 128 -> 256) while the radial estimate is kept
         validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         geom = build_slice(validated, 64)
-        points = []
+        shapes = []
 
         class Counted(CosLinear):
             def eval(self, x):
-                points.append(int(np.prod(np.shape(x)[:-1])))
+                shapes.append(np.shape(x)[:-1])
                 return super().eval(x)
 
         fn = Counted(t=[0.8, -0.5, 0.3])
         res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
-        # radial x direction nodes; a k = 3 budget b gives round(sqrt(b))^2 directions
-        assert points == [64 * 36, 128 * 64, 256 * 121, 512 * 256]
-        assert res.n_evals == sum(points)
-        fine, _ = _quad_pass(geom, fn, 512, 256)
-        coarse, _ = _quad_pass(geom, fn, 256, 128)
+        # (radial nodes, directions); a k = 3 budget b gives round(sqrt(b))^2 directions
+        assert shapes == [(32, 64), (16, 64), (32, 36), (32, 121), (32, 256)]
+        assert res.n_evals == sum(r * d for r, d in shapes)
+        first, _ = _quad_pass(geom, fn, 32, 64)
+        radial_check, _ = _quad_pass(geom, fn, 16, 64)
+        previous, _ = _quad_pass(geom, fn, 32, 128)
+        fine, _ = _quad_pass(geom, fn, 32, 256)
+        err_r, err_a = abs(first - radial_check), abs(fine - previous)
         assert res.value == fine
-        assert res.err_estimate == abs(fine - coarse)
+        assert res.err_estimate == err_r + err_a
+        assert err_r <= 1e-15
+
+    def test_k1_refines_radially_without_an_angular_check(self, fix_b):
+        # two half-lines whatever the angular count: k = 1 takes no angular
+        # check pass, and the kink of a ball refines the radial axis to its
+        # cap of 512 nodes, each check the previous fine pass, then reports
+        # that it missed its target
+        shapes = []
+
+        class Counted(IndicatorBall):
+            def eval(self, x):
+                shapes.append(np.shape(x)[:-1])
+                return super().eval(x)
+
+        geom = build_slice(fix_b, 64)
+        fn = Counted(center=[0.2], radius=1.0)
+        res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
+        assert shapes == [(n, 2) for n in (32, 16, 64, 128, 256, 512)]
+        fine, _ = _quad_pass(geom, fn, 512, 64)
+        previous, _ = _quad_pass(geom, fn, 256, 64)
+        assert res.value == fine
+        assert res.err_estimate == abs(fine - previous)
+        assert res.err_estimate > 1e-11
+        assert not res.converged
+
+    def test_smooth_k1_converges(self, fix_b):
+        res = slice_mean_quadrature(build_slice(fix_b, 64), CosLinear(t=[0.9]),
+                                    QuadConfig(target_rel_err=1e-11))
+        assert res.converged
+        assert res.err_estimate <= 1e-11
+
+    @pytest.mark.parametrize("n", [32, 256, 4096])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cosine_meets_finite_n_closed_form(self, k, n):
+        # E[cos<t,x>] = cos<t,x0> 0F1(; (N-m)/2; -a^2 |C^T t|^2 / 4) on the
+        # slice; the series is summed here (scipy's hyp0f1 is NaN at large b)
+        rng = np.random.default_rng(40 + k)
+        m, s = {1: (1, 100), 2: (2, 6), 3: (2, 8)}[k]
+        while True:
+            validated = validate(AffineProblem(
+                q=rng.standard_normal((m, s)), w0=0.5 * rng.standard_normal(m), k=k))
+            if validated.n_min <= 32:
+                break
+        t = rng.standard_normal(k)
+        t *= 0.8 / np.linalg.norm(t)
+        geom = build_slice(validated, n)
+        res = slice_mean_quadrature(geom, CosLinear(t=t), QuadConfig(target_rel_err=1e-11))
+        b = 0.5 * (geom.n - geom.m)
+        z = -0.25 * geom.a_z**2 * float(np.sum((geom.chol.T @ t) ** 2))
+        terms, term, j = [1.0], 1.0, 0
+        while abs(term) > 1e-18 or (b + j) * (j + 1.0) <= abs(z):
+            term *= z / ((b + j) * (j + 1.0))
+            j += 1
+            terms.append(term)
+        ref = math.cos(float(t @ geom.x0)) * math.fsum(terms)
+        assert abs(res.value - ref) <= 1e-11 * max(1.0, abs(ref))
+        if k == 3:
+            # the schedule that doubled both axes took 172,544 evaluations
+            assert res.n_evals <= 172_544 // 5
 
     def test_unsupported_dimension(self):
         validated = validate(
