@@ -274,8 +274,10 @@ def run_sweep(
 
     Rows are ascending in N. An N at which ``build_slice`` builds no slice
     (N < k + m + 2, the truncated constraints lose rank, or the sphere
-    misses the constraint set) contributes a note instead of a row. A function
-    outside L^p, p > 1, is refused by ``limit_value`` before any row runs.
+    misses the constraint set) contributes a note instead of a row. A row
+    whose quadrature stops short of ``target_rel_err`` (``converged`` False)
+    comes with a note that says so. A function outside L^p, p > 1, is refused
+    by ``limit_value`` before any row runs.
     """
     validate_config(cfg)
     problem = problem_from_config(cfg)
@@ -305,7 +307,9 @@ def run_sweep(
             abs_error=abs(quad.value - limit),
             wall_ms=wall,
         )
-        return row, None
+        note = None if quad.converged else (
+            f"N={n}: quadrature missed target_rel_err (err_estimate {quad.err_estimate:.2g})")
+        return row, note
 
     outcomes = _ordered_map(one_row, schedule, threads)
     rows = [row for row, _ in outcomes if row is not None]

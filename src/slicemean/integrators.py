@@ -40,8 +40,12 @@ _CHUNK_ELEMS = 1 << 22
 #: Node counts of the first fine quadrature pass: radial nodes, and circle
 #: points for k = 2 or the direction budget for k = 3 (see
 #: ``sphere_directions``). Each axis is checked against a pass with its own
-#: count halved, and an axis that misses doubles, up to its cap.
+#: count halved, and an axis that misses doubles, up to its cap. An analytic
+#: integrand (``TestFunction.analytic``) starts radially at 8 nodes: its Gauss
+#: error falls geometrically, so 8 against 4 already bounds it. A kinked one
+#: starts at 32, where a coarse pair can agree while both miss the kink.
 _RADIAL_NODES = 32
+_ANALYTIC_RADIAL_NODES = 8
 _ANGULAR_NODES = 64
 _RADIAL_CAP = 512
 _ANGULAR_CAP = 256
@@ -122,7 +126,9 @@ def slice_mean_quadrature(
 
     The weight's mass sits at radius O(1) while the slice radius grows like
     sqrt(N); the Beta-matched radial rule places its nodes accordingly, so
-    node counts need not grow with N. The error is estimated per axis: the
+    node counts need not grow with N. The first fine pass takes 64
+    directions and 32 radial nodes, or 8 for an analytic integrand, whose
+    Gauss error falls geometrically. The error is estimated per axis: the
     radial estimate is the difference against the pass with half the radial
     nodes, the angular one against half the angular count (k = 1 has none:
     its two half-lines do not depend on the count). err_estimate is their
@@ -137,7 +143,7 @@ def slice_mean_quadrature(
         raise UnsupportedDimension(
             f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
         )
-    counts = [_RADIAL_NODES, _ANGULAR_NODES]
+    counts = [_ANALYTIC_RADIAL_NODES if phi.analytic else _RADIAL_NODES, _ANGULAR_NODES]
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
     value, total_evals = _quad_pass(geom, phi, *counts)
     errs = [0.0, 0.0]

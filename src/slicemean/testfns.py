@@ -28,6 +28,11 @@ class TestFunction:
 
     kind = "abstract"
     lp_class = LP_ALL
+    #: Whether the integrand is entire in x. A Gauss rule then converges
+    #: geometrically, so the difference against the rule with half the nodes
+    #: bounds its error, and quadrature starts on a coarser radial rule. A
+    #: class attribute, not a field: no parameter can set it.
+    analytic = False
 
     @property
     def in_lp_above_one(self) -> bool:
@@ -50,6 +55,7 @@ class _LinearWave(TestFunction):
     numpy ufunc (not a descriptor, so it does not bind as a method)."""
 
     t: np.ndarray
+    analytic = True
 
     def __post_init__(self):
         object.__setattr__(self, "t", _finite_array(self.t, "t").reshape(-1))
@@ -83,6 +89,7 @@ class Monomial(TestFunction):
 
     alpha: tuple
     kind = "monomial"
+    analytic = True
 
     def __post_init__(self):
         alpha = tuple(self.alpha)

@@ -355,6 +355,26 @@ class TestSweepCommand:
         rows = out_csv.read_text().strip().split("\n")[1:]
         assert [int(row.split(",")[0]) for row in rows] == [5, 7, 8]
 
+    def test_rows_that_miss_their_target_carry_a_note(self, tmp_path, capsys):
+        # the kink of a ball stops the radial axis at its cap short of 1e-11:
+        # each row is kept and its note goes to stderr, not into the CSV
+        schedule = [16, 64, 256]
+        ball = write_config(tmp_path, function={"kind": "indicator_ball",
+                                                "params": {"center": [0.2], "radius": 1.0}},
+                            schedule=schedule, quad={"target_rel_err": 1e-11})
+        rows, notes = harness.run_sweep(harness.load_config(ball))
+        assert [row.n for row in rows] == schedule
+        assert [note.split(" (")[0] for note in notes] == [
+            f"N={n}: quadrature missed target_rel_err" for n in schedule]
+        out_csv = tmp_path / "ball.csv"
+        assert cli.main(["sweep", "--config", ball, "--csv", str(out_csv)]) == 0
+        err = capsys.readouterr().err
+        assert all(note in err for note in notes)
+        assert "quadrature" not in out_csv.read_text()
+        cosine = write_config(tmp_path, name="cos.json", schedule=schedule,
+                              quad={"target_rel_err": 1e-11})
+        assert harness.run_sweep(harness.load_config(cosine))[1] == []
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         a = tmp_path / "a.csv"
@@ -585,6 +605,17 @@ def test_unknown_or_missing_parameter_is_a_config_error(tmp_path, capsys, functi
     assert cli.main(["slice", "--config", cfg, "--n", "64"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"'{name}'" in err
+
+
+@pytest.mark.parametrize("kind", ["cos_linear", "indicator_ball"])
+def test_analytic_is_not_a_parameter(tmp_path, capsys, kind):
+    # whether an integrand is analytic is declared by its class: a ball that
+    # claimed it would start quadrature on the coarse radial rule
+    cfg = write_config(tmp_path, function={"kind": kind,
+                                           "params": {**_PARAMS[kind], "analytic": True}})
+    assert cli.main(["slice", "--config", cfg, "--n", "64"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'analytic'" in err
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,22 @@ class TestMetadata:
         assert CounterexampleG().fits(1)
 
 
+    def test_analytic_declarations(self):
+        # entire integrands start quadrature on the coarse radial rule; a
+        # kink (a ball's edge, a clamp) keeps the fine start whatever the inner
+        for fn in (CosLinear(t=[1.0]), SinLinear(t=[1.0]), Monomial(alpha=(2,))):
+            assert fn.analytic
+        for fn in (IndicatorBall(center=[0.0], radius=1.0),
+                   BoundedCutoff(inner=CosLinear(t=[1.0]), cap=0.5), CounterexampleG()):
+            assert not fn.analytic
+
+    def test_analytic_is_not_a_field(self):
+        # declared by the class, so no config params can claim it
+        with pytest.raises(TypeError):
+            from_config({"kind": "indicator_ball",
+                         "params": {"center": [0.0], "radius": 1.0, "analytic": True}})
+
+
 class TestKnownLimit:
     def test_cos_fix_b(self, fix_b):
         got = known_limit(CosLinear(t=[1.0]), fix_b)
