@@ -38,7 +38,7 @@ that miss on one key (sweep rows run on a thread pool) both build the
 same value, bit for bit, so whichever insert lands last is harmless.
 
 Each memo has a fixed cap, with the least recently used rule dropped
-first. At the node counts the library asks for (16 to 512 radial nodes,
+first. At the node counts the library asks for (4 to 512 radial nodes,
 at most 8 KB a rule; at most 256 directions, 8 KB a set) full caches hold
 at most about 4.5 MB. The Gauss-Hermite rule is built on each call: the
 Gaussian limit asks for two per evaluation, so a memo would rarely be hit.
@@ -56,10 +56,10 @@ from scipy.linalg import lapack
 # count that fits in memory.
 _RESCALE_BITS = 448.0
 
-#: Entries each memo keeps. Quadrature takes at most six radial rules (16
-#: to 512 nodes) per (k, N), two (16 and 32) for a smooth function, so the
-#: radial cap holds 85 to 256 slices' rules; the direction sets the library
-#: asks for number 9.
+#: Entries each memo keeps. Quadrature takes at most eight radial rules (4
+#: to 512 nodes) per (k, N); a smooth request mostly takes two (4 and 8), a
+#: kinked one starts on two more (16 and 32). So the radial cap holds 64 to
+#: 256 slices' rules; the direction sets the library asks for number 9.
 _RADIAL_RULES = 512
 _DIRECTION_SETS = 64
 

@@ -86,7 +86,6 @@ class TestMetadata:
         assert [Monomial(alpha=(0, 2)).fits(k) for k in (1, 2, 3)] == [False, True, True]
         assert CounterexampleG().fits(1)
 
-
     def test_analytic_declarations(self):
         # entire integrands start quadrature on the coarse radial rule; a
         # kink (a ball's edge, a clamp) keeps the fine start whatever the inner
@@ -95,12 +94,6 @@ class TestMetadata:
         for fn in (IndicatorBall(center=[0.0], radius=1.0),
                    BoundedCutoff(inner=CosLinear(t=[1.0]), cap=0.5), CounterexampleG()):
             assert not fn.analytic
-
-    def test_analytic_is_not_a_field(self):
-        # declared by the class, so no config params can claim it
-        with pytest.raises(TypeError):
-            from_config({"kind": "indicator_ball",
-                         "params": {"center": [0.0], "radius": 1.0, "analytic": True}})
 
 
 class TestKnownLimit:
