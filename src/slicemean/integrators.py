@@ -132,11 +132,12 @@ def slice_mean_quadrature(
     radial estimate is the difference against the pass with half the radial
     nodes, the angular one against half the angular count (k = 1 has none:
     its two half-lines do not depend on the count). err_estimate is their
-    sum. While it misses target_rel_err, one axis whose own estimate is above
-    half the target doubles, the larger first, up to 512 radial nodes and 256
-    directions; that axis's new check is the previous fine pass, and the
-    other axis keeps its estimate. A result that stops with every axis that
-    misses at its cap has converged False.
+    sum. While it misses target_rel_err, one axis doubles, the larger
+    estimate first, up to 512 radial nodes and 256 directions: an axis whose
+    own estimate is above half the target, or whose partner's estimate alone
+    is within the target. That axis's new check is the previous fine pass,
+    and the other axis keeps its estimate. A result that stops with every
+    eligible axis at its cap has converged False.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:
@@ -147,7 +148,8 @@ def slice_mean_quadrature(
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
     value, total_evals = _quad_pass(geom, phi, *counts)
     errs = [0.0, 0.0]
-    for axis in (0,) if geom.k == 1 else (0, 1):
+    axes = (0,) if geom.k == 1 else (0, 1)
+    for axis in axes:
         half = list(counts)
         half[axis] //= 2
         check, n_evals = _quad_pass(geom, phi, *half)
@@ -156,8 +158,12 @@ def slice_mean_quadrature(
     while True:
         tol = cfg.target_rel_err * max(1.0, abs(value))
         converged = errs[0] + errs[1] <= tol
+        # an axis refines while its own estimate is above half the target, or
+        # while the other axis's estimate alone is within it (so a sum that
+        # misses with one axis at its cap does not strand the other)
         missing = [] if converged else [
-            axis for axis in (0, 1) if errs[axis] > 0.5 * tol and counts[axis] < caps[axis]]
+            axis for axis in axes if counts[axis] < caps[axis]
+            and (errs[axis] > 0.5 * tol or errs[1 - axis] <= tol)]
         if not missing:
             break
         axis = max(missing, key=errs.__getitem__)

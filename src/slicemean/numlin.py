@@ -5,6 +5,8 @@ layout; vectors are 1-D arrays. Every rank decision is taken on the
 triangle of one thin QR, ``StackedQR``, with one relative singular-value
 cutoff, DEFAULT_TOL; callers never pass their own. ``kernel_onb`` (a full
 SVD) is kept as the independent reference that the checks compare against.
+Everything here runs on numpy alone: the triangles that are solved are
+m x m or k x k, so ``solve_lower`` substitutes one row at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ProjectionNotOnto, RankDeficient
 
@@ -46,9 +47,21 @@ def kernel_onb(m: np.ndarray) -> np.ndarray:
     spanned subspace.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    _, s, vh = scipy.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = int(np.sum(s > DEFAULT_TOL * (s[0] if s.size else 0.0)))
     return vh[rank:].T.copy()
+
+
+def solve_lower(low: np.ndarray, b) -> np.ndarray:
+    """x with low x = b, for a lower-triangular ``low`` with nonzero
+    diagonal, by forward substitution."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if low.shape != (b.size, b.size):
+        raise ValueError(f"a {low.shape} triangle cannot solve for {b.size} entries")
+    x = np.empty(b.size)
+    for i in range(b.size):
+        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
+    return x
 
 
 class StackedQR:
@@ -82,8 +95,7 @@ class StackedQR:
         r11 = self.r[: self.m, : self.m]
         if _singular_ratio(r11) <= DEFAULT_TOL:
             raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
-        y = scipy.linalg.solve_triangular(r11, w, trans="T", check_finite=False)
-        return self.u[:, : self.m] @ y
+        return self.u[:, : self.m] @ solve_lower(r11.T, w)
 
     def gram_factor(self) -> np.ndarray:
         """Lower-triangular C with positive diagonal and C C^T = G.

@@ -13,7 +13,6 @@ for <G t, t> that the verify checks use.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import numlin
 from .affine_model import ValidatedProblem, truncated_matrix
@@ -29,7 +28,7 @@ def preimage_norm_sq(chol: np.ndarray, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    v = scipy.linalg.solve_triangular(chol, x, lower=True)
+    v = numlin.solve_lower(chol, x)
     return float(v @ v)
 
 

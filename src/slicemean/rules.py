@@ -12,17 +12,22 @@ weights, far below 1e-16, come back as round-off.
 
 So the rule is built in the u variable from quantities that keep their
 relative accuracy. The Jacobi matrix of the normalized Beta distribution
-is L L^T with L bidiagonal, and the entries of L come in closed form from
-the distribution's canonical moments (Dette & Studden, *The Theory of
-Canonical Moments*, 1997), all of them positive. The nodes are the
-eigenvalues of that positive definite matrix, computed to high relative
-accuracy (LAPACK ``dpteqr``), so nodes near u = 0, where the mass sits for
-large exponents, keep their leading digits. The weights are the Christoffel
-function at the nodes, w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal
-polynomials p_j run by their three-term recurrence (Gautschi, *Orthogonal
-Polynomials: Computation and Approximation*, 2004, section 3.1; Hale &
-Townsend, SISC 35, 2013), so each weight is accurate in relative terms,
-however small. The zeroth moment is normalized to 1: the weights are the
+is B^T B with B upper bidiagonal, and the entries of B come in closed form
+from the distribution's canonical moments (Dette & Studden, *The Theory of
+Canonical Moments*, 1997), all of them positive. The nodes are the squared
+singular values of B, which LAPACK's dqds computes to high relative
+accuracy from B itself (Demmel & Kahan, SISC 11, 1990; Fernando & Parlett,
+Numer. Math. 67, 1994), never from the assembled tridiagonal. So even the
+smallest node, near u = 0 where the mass sits for large exponents, is
+within about 1e-14 relative of a 60-digit reference. ``numpy.linalg.svd``
+takes B as a dense n x n matrix, so a rule costs O(n^3) to build: about
+6 ms at 256 nodes and 40 ms at 512, once per process (see the memo
+below). The weights are the Christoffel function at the nodes,
+w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal polynomials p_j run by
+their three-term recurrence (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, 2004, section 3.1; Hale & Townsend,
+SISC 35, 2013), so each weight is accurate in relative terms, however
+small. The zeroth moment is normalized to 1: the weights are the
 probabilities of the Beta distribution placed on the nodes and sum to 1
 for every exponent.
 
@@ -50,7 +55,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lapack
 
 # Values below 2**448 leave room for sums of their squares over any node
 # count that fits in memory.
@@ -106,10 +110,12 @@ def _beta_radial_rule(k, exponent, n):
     if n == 1:
         return _read_only(diag, np.ones(1))
     off = np.sqrt(zeta_odd[:-1] * zeta_even[:-1])
-    desc, _, _, info = lapack.dpteqr(diag, off, np.zeros((0, 0)))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpteqr failed with info = {info}")
-    u = desc[::-1].copy()
+    # J = B^T B for the upper bidiagonal B with diagonal sqrt(zeta_odd) and
+    # superdiagonal sqrt(zeta_even); LAPACK's dqds gives B's singular values
+    # to high relative accuracy, and the Householder reduction of the dense
+    # B to bidiagonal form leaves it as it is (every reflector is the identity)
+    b = np.diag(np.sqrt(zeta_odd)) + np.diag(np.sqrt(zeta_even[:-1]), 1)
+    u = np.linalg.svd(b, compute_uv=False)[::-1] ** 2
     return _read_only(u, _christoffel_weights(u, diag, off))
 
 

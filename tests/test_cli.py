@@ -168,6 +168,24 @@ class TestSliceAndLimit:
         assert payload["a_z"] == pytest.approx(63.0**0.5)
         assert payload["quad_value"] == pytest.approx(payload["limit_value"], abs=0.05)
 
+    def test_slice_runs_without_scipy(self, tmp_path):
+        # the library needs numpy only: with scipy unimportable, FIX-B's
+        # cosine slice still runs, and no scipy module gets loaded
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from slicemean import cli\n"
+            "code = cli.main(['slice', '--n', '64', '--config', sys.argv[1]])\n"
+            "loaded = [name for name, module in sys.modules.items()\n"
+            "          if name.startswith('scipy') and module is not None]\n"
+            "print(json.dumps({'code': code, 'loaded': loaded}), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, write_config(tmp_path)],
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == {"code": 0, "loaded": []}
+        assert json.loads(proc.stdout)["N"] == 64
+
     def test_angular_node_pair_is_a_config_error(self, tmp_path):
         # the node counts are fixed in the code; the key is unknown
         cfg = write_config(tmp_path, quad={"angular_nodes": [12, 16]})

@@ -43,6 +43,20 @@ def _full_basis_mc(validated, geom, phi, n_samples, seed):
     return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
 
 
+def _wave_factor(geom, t):
+    """0F1(; (N-m)/2; -a^2 |C^T t|^2 / 4), summed here (scipy's hyp0f1 is NaN
+    at large b): E[cos<t,x>] on the slice is cos<t,x0> times it, and
+    E[sin<t,x>] is sin<t,x0> times it (the slice is symmetric about x0)."""
+    b = 0.5 * (geom.n - geom.m)
+    z = -0.25 * geom.a_z**2 * float(np.sum((geom.chol.T @ t) ** 2))
+    terms, term, j = [1.0], 1.0, 0
+    while abs(term) > 1e-18 or (b + j) * (j + 1.0) <= abs(z):
+        term *= z / ((b + j) * (j + 1.0))
+        j += 1
+        terms.append(term)
+    return math.fsum(terms)
+
+
 class TestQuadrature:
     def test_constant_is_one(self, fix_b):
         res = slice_mean_quadrature(build_slice(fix_b, 64), Monomial(alpha=(0,)))
@@ -140,16 +154,17 @@ class TestQuadrature:
     @pytest.mark.parametrize("case", ["bounded_cutoff_k2", "indicator_ball_k3"])
     def test_kinked_integrands_keep_the_fine_radial_start(self, fix_c, case):
         # neither integrand is analytic, so both start at 32 radial nodes
-        # checked against 16; the values were pinned on the schedule that
-        # started every integrand there, and may not move by a bit
+        # checked against 16, and walk both axes to their caps; the values
+        # are pinned to the bits of the radial rule built from the singular
+        # values of its bidiagonal factor, and may not move by a bit
         k3 = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         validated, fn, pinned = {
             "bounded_cutoff_k2": (
                 fix_c, BoundedCutoff(inner=CosLinear(t=[1.5, -0.7]), cap=0.5),
-                (0.15028918160657984, 1.198688740738918e-05, 262_144)),
+                (0.15028918160657978, 1.1986887407500202e-05, 262_144)),
             "indicator_ball_k3": (
                 k3, IndicatorBall(center=[0.3, -0.2, 0.1], radius=1.0),
-                (0.1807185085848058, 0.0018986811181592733, 261_376)),
+                (0.18071850858480598, 0.0018986811181589403, 261_376)),
         }[case]
         assert not fn.analytic
         res = slice_mean_quadrature(build_slice(validated, 64), fn)
@@ -164,10 +179,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("n", [32, 256, 4096])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cosine_meets_finite_n_closed_form(self, k, n):
-        # E[cos<t,x>] = cos<t,x0> 0F1(; (N-m)/2; -a^2 |C^T t|^2 / 4) on the
-        # slice, and E[sin<t,x>] is sin<t,x0> times the same factor (the slice
-        # is symmetric about x0); the series is summed here (scipy's hyp0f1 is
-        # NaN at large b). |t| runs to 4 for k <= 2 and to 2 for k = 3
+        # |t| runs to 4 for k <= 2 and to 2 for k = 3
         rng = np.random.default_rng(40 + k)
         m, s = {1: (1, 100), 2: (2, 6), 3: (2, 8)}[k]
         while True:
@@ -178,17 +190,11 @@ class TestQuadrature:
         direction = rng.standard_normal(k)
         direction /= np.linalg.norm(direction)
         geom = build_slice(validated, n)
-        b = 0.5 * (geom.n - geom.m)
         for size in (0.8, 2.0 if k == 3 else 4.0):
             t = size * direction
-            z = -0.25 * geom.a_z**2 * float(np.sum((geom.chol.T @ t) ** 2))
-            terms, term, j = [1.0], 1.0, 0
-            while abs(term) > 1e-18 or (b + j) * (j + 1.0) <= abs(z):
-                term *= z / ((b + j) * (j + 1.0))
-                j += 1
-                terms.append(term)
+            factor = _wave_factor(geom, t)
             for wave, phase in ((CosLinear, math.cos), (SinLinear, math.sin)):
-                ref = phase(float(t @ geom.x0)) * math.fsum(terms)
+                ref = phase(float(t @ geom.x0)) * factor
                 for target in (1e-9, 1e-11):
                     res = slice_mean_quadrature(geom, wave(t=t), QuadConfig(target_rel_err=target))
                     err = abs(res.value - ref)
@@ -203,6 +209,31 @@ class TestQuadrature:
                         # an analytic wave starts at 8 radial nodes: 4,072 to
                         # 8,168 evaluations here
                         assert res.n_evals <= 10_000
+                    if k == 3 and size == 2.0:
+                        # the capped angular estimate alone misses the target,
+                        # so the radial axis takes one doubling, no more
+                        assert res.n_evals == 8_168
+
+    def test_capped_axis_does_not_strand_the_other(self):
+        # a k = 3 cosine whose angular estimate at the 256-direction cap
+        # (7.5e-12) is within the 1e-11 target but whose radial estimate
+        # (about 3e-12, the 4-node rule's error) puts the sum over it: the
+        # radial axis doubles once more and the result converges (it stopped
+        # at 4,072 evaluations with converged False when only an axis above
+        # half the target could refine)
+        validated = validate(AffineProblem(q=[
+            [1.2425222410102619, -0.3745855409070993, 1.6389580354533575, -0.6766924278792744,
+             1.267286254331846, 1.4657032939292025, -1.4611307572479162, 0.45510605824343703],
+            [-1.0011088536090944, -1.1242171949224766, 0.12451012114052001, 0.8027057266852977,
+             1.331091921893474, -0.32997866075627974, 0.9784733496202408, 0.5564865205794628]],
+            w0=[-0.00379202217325479, -0.46386390873859756], k=3))
+        t = np.array([-0.4311317998292771, 0.26745869614191076, 0.5163972447819677])
+        geom = build_slice(validated, 256)
+        res = slice_mean_quadrature(geom, CosLinear(t=t), QuadConfig(target_rel_err=1e-11))
+        assert res.converged and res.err_estimate <= 1e-11
+        assert res.n_evals == 8_168
+        ref = math.cos(float(t @ geom.x0)) * _wave_factor(geom, t)
+        assert abs(res.value - ref) <= 1e-11 * max(1.0, abs(ref))
 
     def test_unsupported_dimension(self):
         validated = validate(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 from scipy.special import gamma
 
 from slicemean import (
@@ -15,7 +16,7 @@ from slicemean import (
     log_surface_constant,
 )
 from slicemean.affine_model import least_norm_center
-from slicemean.numlin import StackedQR
+from slicemean.numlin import StackedQR, solve_lower
 
 
 def least_norm(q, w):
@@ -83,6 +84,15 @@ def test_least_norm_orthogonal_to_kernel(rows, cols, seed):
     basis = kernel_onb(m)
     # minimal-norm solutions carry no kernel component
     assert np.abs(basis.T @ x).max() <= 1e-10
+
+
+def test_solve_lower_matches_scipy():
+    rng = np.random.default_rng(4)
+    low = np.tril(rng.standard_normal((6, 6))) + 3.0 * np.eye(6)
+    b = rng.standard_normal(6)
+    assert_allclose(solve_lower(low, b), solve_triangular(low, b, lower=True), rtol=1e-13)
+    with pytest.raises(ValueError):
+        solve_lower(low, b[:5])
 
 
 class TestLeastNorm:

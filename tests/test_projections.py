@@ -128,6 +128,11 @@ class TestPreimageNormSq:
     def test_zero(self, fix_c):
         assert preimage_norm_sq(fix_c.chol, [0.0, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 0.0, 0.0]])
+    def test_length_must_be_k(self, fix_c, x):
+        with pytest.raises(ValueError):
+            preimage_norm_sq(fix_c.chol, x)
+
 
 class TestPushCoordinates:
     """The whitening x = x0 + C y that every evaluator computes inline."""

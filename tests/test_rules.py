@@ -1,8 +1,11 @@
 import inspect
 import math
+import os
+import subprocess
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -31,6 +34,32 @@ def beta_moment(k, exponent, p):
     return math.prod((a + i) / (a + b + i) for i in range(p))
 
 
+def _jacobi_matrix(k, exponent, n):
+    """Diagonal and squared off-diagonal of the Beta(k/2, exponent + 1)
+    Jacobi matrix at the working mpmath precision, from the textbook monic
+    Jacobi recurrence for (1-x)^exponent (1+x)^(k/2-1) on [-1, 1] mapped to
+    u = (1 + x) / 2; independent of the canonical moments the rule is built
+    from."""
+    a, b = mpmath.mpf(exponent), mpmath.mpf(k) / 2 - 1
+    diag = [(1 + (b - a) / (a + b + 2)) / 2]
+    off2 = []
+    for j in range(1, n):
+        s = 2 * j + a + b
+        diag.append((1 + (b * b - a * a) / (s * (s + 2))) / 2)
+        off2.append(j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1)))
+    return diag, off2
+
+
+def _eigenvalues_below(diag, off2, x):
+    # Sturm count: the negative pivots of the LDL^T factorization of J - x I
+    d = diag[0] - x
+    count = int(d < 0)
+    for i in range(1, len(diag)):
+        d = diag[i] - x - off2[i - 1] / d
+        count += d < 0
+    return count
+
+
 class TestBetaRadialRule:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("exponent", [0.0, 0.5, 6.0, 48.0, 2046.5])
@@ -56,6 +85,29 @@ class TestBetaRadialRule:
         _, w = beta_radial_rule(k, exponent, n)
         _, w_ref = roots_jacobi(n, exponent, k / 2.0 - 1.0)
         assert_allclose(w, w_ref / w_ref.sum(), rtol=1e-10)
+
+    @pytest.mark.parametrize("k, exponent, n", [
+        (1, 0.5, 512), (1, 510.0, 512), (2, 2.0**52, 128), (3, 30.5, 256)])
+    def test_nodes_match_high_precision_bisection(self, k, exponent, n):
+        # nodes near u = 0 are accurate in relative terms: the smallest,
+        # middle and largest node each to 5e-14 of a 60-digit bisection,
+        # bracketed at 1e-9 relative around the node and checked by the
+        # Sturm counts at both ends
+        u, _ = beta_radial_rule(k, exponent, n)
+        with mpmath.workdps(60):
+            diag, off2 = _jacobi_matrix(k, exponent, n)
+            for i in (0, n // 2, n - 1):
+                node = mpmath.mpf(u[i])
+                lo, hi = node * (1 - mpmath.mpf(1e-9)), node * (1 + mpmath.mpf(1e-9))
+                assert _eigenvalues_below(diag, off2, lo) == i
+                assert _eigenvalues_below(diag, off2, hi) == i + 1
+                while hi - lo > 1e-17 * lo:
+                    mid = (lo + hi) / 2
+                    if _eigenvalues_below(diag, off2, mid) > i:
+                        hi = mid
+                    else:
+                        lo = mid
+                assert abs(node - (lo + hi) / 2) <= 5e-14 * lo
 
     def test_huge_exponent_stays_finite(self):
         # library Jacobi weights overflow here; the normalized rule must not
@@ -204,6 +256,26 @@ class TestMemo:
         assert np.array_equal(u0, u1) and np.array_equal(w0, w1)
         u, w = beta_radial_rule(3, 1234.5, 512)
         assert np.array_equal(u, u0) and np.array_equal(w, w0)
+
+    def test_radial_rules_bit_identical_at_any_blas_thread_count(self):
+        # the singular values come from LAPACK; the rule's bits must not
+        # depend on how many threads BLAS runs
+        script = (
+            "import hashlib\n"
+            "from slicemean.rules import beta_radial_rule\n"
+            "h = hashlib.sha256()\n"
+            "for n in (64, 128, 256, 512):\n"
+            "    for arr in beta_radial_rule(3, 1234.5, n):\n"
+            "        h.update(arr.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=300, env=env, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     @pytest.mark.parametrize(
         "name",
