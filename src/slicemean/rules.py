@@ -21,8 +21,8 @@ Numer. Math. 67, 1994), never from the assembled tridiagonal. So even the
 smallest node, near u = 0 where the mass sits for large exponents, is
 within about 1e-14 relative of a 60-digit reference. ``numpy.linalg.svd``
 takes B as a dense n x n matrix, so a rule costs O(n^3) to build: about
-6 ms at 256 nodes and 40 ms at 512, once per process (see the memo
-below). The weights are the Christoffel function at the nodes,
+8 ms at 256 nodes and 50 ms at 512 on one core, once per process (see the
+memo below). The weights are the Christoffel function at the nodes,
 w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal polynomials p_j run by
 their three-term recurrence (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, 2004, section 3.1; Hale & Townsend,
