@@ -14,14 +14,17 @@ So the rule is built in the u variable from quantities that keep their
 relative accuracy. The Jacobi matrix of the normalized Beta distribution
 is B^T B with B upper bidiagonal, and the entries of B come in closed form
 from the distribution's canonical moments (Dette & Studden, *The Theory of
-Canonical Moments*, 1997), all of them positive. The nodes are the squared
-singular values of B, which LAPACK's dqds computes to high relative
-accuracy from B itself (Demmel & Kahan, SISC 11, 1990; Fernando & Parlett,
-Numer. Math. 67, 1994), never from the assembled tridiagonal. So even the
-smallest node, near u = 0 where the mass sits for large exponents, is
-within about 1e-14 relative of a 60-digit reference. ``numpy.linalg.svd``
-takes B as a dense n x n matrix, so a rule costs O(n^3) to build: about
-8 ms at 256 nodes and 50 ms at 512 on one core, once per process (see the
+Canonical Moments*, 1997), all of them positive. The eigenvalues of the
+assembled tridiagonal J = B^T B (``numpy.linalg.eigvalsh``) are accurate to about eps in
+absolute terms only, so the small ones near u = 0, where the mass sits for
+large exponents, may lose digits. One Newton step from each of them, with
+det(B^T B - u I) and its derivative run on B's entries by the differential
+stationary qd recurrence, which keeps their relative accuracy (Demmel &
+Kahan, SISC 11, 1990; Fernando & Parlett, Numer. Math. 67, 1994), squares
+that error away: the smallest node is within about 1e-15 relative of a
+60-digit reference. The eigenvalues cost O(n^3) on the dense n x n matrix,
+the Newton step O(n^2): a 512-node rule takes about 22 ms on one core,
+once per (k, exponent, node count), where the exponent follows N (see the
 memo below). The weights are the Christoffel function at the nodes,
 w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal polynomials p_j run by
 their three-term recurrence (Gautschi, *Orthogonal Polynomials:
@@ -34,7 +37,7 @@ for every exponent.
 The radial rule depends only on (k, exponent, node count) and the
 direction set only on (k, direction count), never on the problem or the
 function, and the slice evaluator asks for the same few keys on every
-pass of every request. So these two are built once per process and kept
+pass of every request. So each key is built once per process and kept
 in a ``functools.lru_cache`` on a private builder, which marks the arrays
 it returns read-only: every caller gets the same arrays, and an in-place
 write to one raises instead of corrupting the rule for the next caller.
@@ -111,12 +114,37 @@ def _beta_radial_rule(k, exponent, n):
         return _read_only(diag, np.ones(1))
     off = np.sqrt(zeta_odd[:-1] * zeta_even[:-1])
     # J = B^T B for the upper bidiagonal B with diagonal sqrt(zeta_odd) and
-    # superdiagonal sqrt(zeta_even); LAPACK's dqds gives B's singular values
-    # to high relative accuracy, and the Householder reduction of the dense
-    # B to bidiagonal form leaves it as it is (every reflector is the identity)
-    b = np.diag(np.sqrt(zeta_odd)) + np.diag(np.sqrt(zeta_even[:-1]), 1)
-    u = np.linalg.svd(b, compute_uv=False)[::-1] ** 2
+    # superdiagonal sqrt(zeta_even); eigvalsh reads J's lower triangle
+    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    u = _newton_step(u, zeta_odd, zeta_even[:-1])
     return _read_only(u, _christoffel_weights(u, diag, off))
+
+
+def _newton_step(u, q, e):
+    """One Newton step from each u_i towards a zero of det(B^T B - u I).
+
+    B is upper bidiagonal with squared diagonal q and squared superdiagonal
+    e. The pivots of B^T B - u I = L D L^T come from the differential
+    stationary qd recurrence d_i = s_i + q_i, s_(i+1) = e_i s_i / d_i - u,
+    s_1 = -u, which loses no relative accuracy; det'/det = sum_i s_i' / d_i,
+    with s_1' = -1 and s_(i+1)' = e_i q_i s_i' / d_i^2 - 1. Where a pivot is
+    exactly 0, u_i is a zero already (d_n = 0, the step is 0) or the step is
+    not finite and u_i is kept.
+    """
+    s = -u
+    ds = np.full(u.size, -1.0)
+    total = np.zeros(u.size)
+    eq = (e * q[:-1]).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (q_i, e_i) in enumerate(zip(q[:-1].tolist(), e.tolist())):
+            d = s + q_i
+            r = ds / d
+            total += r
+            ds = eq[i] * r / d - 1.0
+            s = e_i / d * s - u
+        total += ds / (s + q[-1])
+        step = 1.0 / total
+    return np.where(np.isfinite(step), u - step, u)
 
 
 def _christoffel_weights(u, diag, off):

@@ -155,16 +155,16 @@ class TestQuadrature:
     def test_kinked_integrands_keep_the_fine_radial_start(self, fix_c, case):
         # neither integrand is analytic, so both start at 32 radial nodes
         # checked against 16, and walk both axes to their caps; the values
-        # are pinned to the bits of the radial rule built from the singular
-        # values of its bidiagonal factor, and may not move by a bit
+        # are pinned to the bits of the radial rule whose nodes take one
+        # Newton step on its bidiagonal factor, and may not move by a bit
         k3 = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         validated, fn, pinned = {
             "bounded_cutoff_k2": (
                 fix_c, BoundedCutoff(inner=CosLinear(t=[1.5, -0.7]), cap=0.5),
-                (0.15028918160657978, 1.1986887407500202e-05, 262_144)),
+                (0.15028918160657956, 1.1986887407722246e-05, 262_144)),
             "indicator_ball_k3": (
                 k3, IndicatorBall(center=[0.3, -0.2, 0.1], radius=1.0),
-                (0.18071850858480598, 0.0018986811181589403, 261_376)),
+                (0.18071850858480604, 0.001898681118159301, 261_376)),
         }[case]
         assert not fn.analytic
         res = slice_mean_quadrature(build_slice(validated, 64), fn)
