@@ -15,24 +15,24 @@ relative accuracy. The Jacobi matrix of the normalized Beta distribution
 is B^T B with B upper bidiagonal, and the entries of B come in closed form
 from the distribution's canonical moments (Dette & Studden, *The Theory of
 Canonical Moments*, 1997), all of them positive. The eigenvalues of the
-assembled tridiagonal J = B^T B (``numpy.linalg.eigvalsh``) are accurate to about eps in
-absolute terms only, so the small ones near u = 0, where the mass sits for
-large exponents, may lose digits. One Newton step from each of them, with
-det(B^T B - u I) and its derivative run on B's entries by the differential
-stationary qd recurrence, which keeps their relative accuracy (Demmel &
-Kahan, SISC 11, 1990; Fernando & Parlett, Numer. Math. 67, 1994), squares
-that error away: the smallest node is within about 1e-15 relative of a
-60-digit reference. The eigenvalues cost O(n^3) on the dense n x n matrix,
-the Newton step O(n^2): a 512-node rule takes about 22 ms on one core,
-once per (k, exponent, node count), where the exponent follows N (see the
-memo below). The weights are the Christoffel function at the nodes,
-w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal polynomials p_j run by
-their three-term recurrence (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, 2004, section 3.1; Hale & Townsend,
-SISC 35, 2013), so each weight is accurate in relative terms, however
-small. The zeroth moment is normalized to 1: the weights are the
-probabilities of the Beta distribution placed on the nodes and sum to 1
-for every exponent.
+assembled tridiagonal J = B^T B (``numpy.linalg.eigvalsh``) are accurate
+to about eps in absolute terms only, so the small ones near u = 0, where
+the mass sits for large exponents, may lose digits. One Newton step from
+each of them, with det(B^T B - u I) and its derivative run on B's entries
+by the differential stationary qd recurrence, which keeps relative
+accuracy (Demmel & Kahan, SISC 11, 1990; Fernando & Parlett, Numer. Math.
+67, 1994), squares that error away: the smallest node is within about
+1e-15 relative of a 60-digit reference. The eigenvalues cost O(n^3) on
+the dense n x n matrix, the Newton step O(n^2) in a Python loop: a
+512-node rule takes about 25 ms on one core, once per (k, exponent, node
+count), and the exponent follows N (see the memo below). The weights are
+the Christoffel function at the nodes, w_i = 1 / sum_j p_j(u_i)^2, with
+the orthonormal polynomials p_j run by their three-term recurrence
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
+section 3.1; Hale & Townsend, SISC 35, 2013), so each weight is accurate
+in relative terms, however small. The zeroth moment is normalized to 1:
+the weights are the probabilities of the Beta distribution placed on the
+nodes and sum to 1 for every exponent.
 
 The radial rule depends only on (k, exponent, node count) and the
 direction set only on (k, direction count), never on the problem or the
@@ -127,9 +127,10 @@ def _newton_step(u, q, e):
     e. The pivots of B^T B - u I = L D L^T come from the differential
     stationary qd recurrence d_i = s_i + q_i, s_(i+1) = e_i s_i / d_i - u,
     s_1 = -u, which loses no relative accuracy; det'/det = sum_i s_i' / d_i,
-    with s_1' = -1 and s_(i+1)' = e_i q_i s_i' / d_i^2 - 1. Where a pivot is
-    exactly 0, u_i is a zero already (d_n = 0, the step is 0) or the step is
-    not finite and u_i is kept.
+    with s_1' = -1 and s_(i+1)' = e_i q_i s_i' / d_i^2 - 1. A last pivot of
+    exactly 0 makes the step 0 (u_i is a zero already); an earlier one, where
+    u_i is also an eigenvalue of a leading block, makes it not finite, and
+    then u_i is kept as it is.
     """
     s = -u
     ds = np.full(u.size, -1.0)

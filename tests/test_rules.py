@@ -109,6 +109,16 @@ class TestBetaRadialRule:
                         lo = mid
                 assert abs(node - (lo + hi) / 2) <= 5e-14 * lo
 
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_chebyshev_nodes_in_closed_form(self, n):
+        # Beta(3/2, 3/2) is the Chebyshev weight of the second kind, whose
+        # Gauss nodes are sin^2(i pi / (2n + 2)); one of them, 0.25, is also an
+        # eigenvalue of a leading block of the Jacobi matrix, so its Newton
+        # step meets a zero pivot and the node must stay as eigvalsh gave it
+        u, _ = beta_radial_rule(3, 0.5, n)
+        ref = np.sin(np.arange(1, n + 1) * np.pi / (2 * n + 2)) ** 2
+        assert_allclose(u, ref, rtol=2e-15)
+
     def test_huge_exponent_stays_finite(self):
         # library Jacobi weights overflow here; the normalized rule must not
         u, w = beta_radial_rule(1, 0.5 * (4096 - 4), 128)
@@ -258,7 +268,7 @@ class TestMemo:
         assert np.array_equal(u, u0) and np.array_equal(w, w0)
 
     def test_radial_rules_bit_identical_at_any_blas_thread_count(self):
-        # the singular values come from LAPACK; the rule's bits must not
+        # the starting eigenvalues come from LAPACK; the rule's bits must not
         # depend on how many threads BLAS runs
         script = (
             "import hashlib\n"
