@@ -30,8 +30,10 @@ class SliceEmpty(SliceMeanError):
 
 
 class UnsupportedDimension(SliceMeanError):
-    """Deterministic quadrature was requested for a cylinder dimension it
-    does not support (k > 3); use Monte Carlo instead."""
+    """A deterministic rule was requested for a cylinder dimension it does
+    not support (k > 3). For the slice mean the library's ``slice_mean_mc``
+    has no k limit; for the limit, ``gaussian_limit`` takes an ``McConfig``
+    and ``slicemean limit`` falls back to Monte Carlo."""
 
 
 class NonFinite(SliceMeanError):

@@ -142,7 +142,8 @@ def slice_mean_quadrature(
     _require_fit(phi, geom.k)
     if geom.k > 3:
         raise UnsupportedDimension(
-            f"deterministic rule supports k <= 3 (got k = {geom.k}); use Monte Carlo"
+            f"deterministic rule supports k <= 3 (got k = {geom.k}); the library's "
+            "slice_mean_mc has no k limit, and `slicemean limit` gives the Gaussian limit"
         )
     counts = [_ANALYTIC_RADIAL_NODES if phi.analytic else _RADIAL_NODES, _ANGULAR_NODES]
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
@@ -203,6 +204,8 @@ def _mc_shard(seed, shard_index, size, k, draw, phi):
     ``draw(rng, b)`` returns b sample points of shape (b, k), taking at most
     k + 1 numbers per sample from rng; the shard is drawn in chunks of at
     most _CHUNK_ELEMS numbers, so its memory does not grow with its size.
+    The values are squared in place once their plain sum is taken, so a
+    chunk holds one array of values.
     """
     rng = _shard_rng(seed, shard_index)
     chunk = max(1, _CHUNK_ELEMS // (k + 1))
@@ -215,7 +218,8 @@ def _mc_shard(seed, shard_index, size, k, draw, phi):
         if not np.all(np.isfinite(vals)):
             raise NonFinite("integrand returned a non-finite value at a sample")
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        vals *= vals
+        total_sq += float(vals.sum())
         done += b
         # free this chunk before the next draw: the peak stays one chunk's
         del vals
@@ -250,7 +254,9 @@ def slice_mean_mc(
     standard normal in R^k (M the first k rows of the basis, M M^T = C C^T)
     and chi2 = |g|^2 - |z|^2 is an independent chi-square with N - m - k
     degrees of freedom. So each sample costs k normals and one chi-square
-    draw at any N. Works for any k.
+    draw at any N. Works for any k. A chunk's points are built in place in
+    the (b, k) array of z C^T, with one array of b for the scale; the RNG
+    calls, and so the streams, are those of the plain formula.
     """
     k = geom.k
     _require_fit(phi, k)
@@ -258,8 +264,14 @@ def slice_mean_mc(
 
     def draw(rng, b):
         z = rng.standard_normal((b, k))
-        norms = np.sqrt(np.einsum("ij,ij->i", z, z) + rng.chisquare(df, b))
-        return geom.x0 + (geom.a_z / norms)[:, None] * (z @ geom.chol.T)
+        scale = rng.chisquare(df, b)
+        scale += np.einsum("ij,ij->i", z, z)
+        np.sqrt(scale, out=scale)
+        np.divide(geom.a_z, scale, out=scale)
+        x = z @ geom.chol.T
+        x *= scale[:, None]
+        x += geom.x0
+        return x
 
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     moments = _ordered_map(
@@ -305,7 +317,9 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
     k = mu.size
 
     def draw(rng, b):
-        return mu + rng.standard_normal((b, k)) @ chol.T
+        x = rng.standard_normal((b, k)) @ chol.T
+        x += mu
+        return x
 
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     moments = []

@@ -25,12 +25,15 @@ accuracy (Demmel & Kahan, SISC 11, 1990; Fernando & Parlett, Numer. Math.
 1e-15 relative of a 60-digit reference. The eigenvalues cost O(n^3) on
 the dense n x n matrix, the Newton step O(n^2) in a Python loop: a
 512-node rule takes about 25 ms on one core, once per (k, exponent, node
-count), and the exponent follows N (see the memo below). The weights are
-the Christoffel function at the nodes, w_i = 1 / sum_j p_j(u_i)^2, with
-the orthonormal polynomials p_j run by their three-term recurrence
-(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, 2004,
-section 3.1; Hale & Townsend, SISC 35, 2013), so each weight is accurate
-in relative terms, however small. The zeroth moment is normalized to 1:
+count), and the exponent follows N (see the memo below). The build's
+working memory is that one n x n matrix plus LAPACK's copy of it, 2 MB
+each at 512 nodes; the Newton step and the weights run in O(n) memory.
+The weights are the Christoffel function at the nodes,
+w_i = 1 / sum_j p_j(u_i)^2, with the orthonormal polynomials p_j run by
+their three-term recurrence (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, 2004, section 3.1; Hale & Townsend,
+SISC 35, 2013), so each weight is accurate in relative terms, however
+small. The zeroth moment is normalized to 1:
 the weights are the probabilities of the Beta distribution placed on the
 nodes and sum to 1 for every exponent.
 
@@ -114,8 +117,15 @@ def _beta_radial_rule(k, exponent, n):
         return _read_only(diag, np.ones(1))
     off = np.sqrt(zeta_odd[:-1] * zeta_even[:-1])
     # J = B^T B for the upper bidiagonal B with diagonal sqrt(zeta_odd) and
-    # superdiagonal sqrt(zeta_even); eigvalsh reads J's lower triangle
-    u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    # superdiagonal sqrt(zeta_even); eigvalsh reads J's lower triangle. The
+    # one n x n array is written through strided views of its flat buffer
+    # and freed before the Newton step
+    jac = np.zeros((n, n))
+    flat = jac.reshape(-1)
+    flat[:: n + 1] = diag
+    flat[n :: n + 1] = off
+    u = np.linalg.eigvalsh(jac)
+    del jac, flat
     u = _newton_step(u, zeta_odd, zeta_even[:-1])
     return _read_only(u, _christoffel_weights(u, diag, off))
 
@@ -152,11 +162,16 @@ def _christoffel_weights(u, diag, off):
     """Normalized 1 / sum_j p_j(u)^2 for the Jacobi matrix (diag, off).
 
     The recurrence runs on q_j = c_j p_j, with the constants c_j chosen so
-    that q_(j+1) = A_j q_j - q_(j-1): one multiply and one subtract per
-    degree for all nodes at once. Where the bound on growth since the last
-    rescaling would pass 2**_RESCALE_BITS, each node's two latest values are
-    divided by a power of two, which is exact; the powers are kept per node
-    and put back when the sum is inverted.
+    that q_(j+1) = (u - diag_j) step_j q_j - q_(j-1): one multiply and one
+    subtract per degree for all nodes at once, on two rolling rows, so the
+    working memory is a few arrays of n. Each row, once no rescaling can
+    touch it, is added as c_j^-2 * q_j * q_j (in that product order) into a
+    block sum, in j order: plain adds, not BLAS, so the bits do not depend
+    on threads. The block joins the total at each rescaling and at the end.
+    Where the bound on growth since the last rescaling would pass
+    2**_RESCALE_BITS, each node's two latest values are divided by a power
+    of two, which is exact; the powers are kept per node and put back when
+    the sum is inverted.
     """
     n = u.size
     c = np.ones(n)
@@ -164,32 +179,30 @@ def _christoffel_weights(u, diag, off):
     c[2::2] = np.cumprod(ratio[0::2])
     c[3::2] = np.cumprod(ratio[1::2])
     step = c[1:] / (c[:-1] * off)
-    A = (u - diag[:-1, None]) * step[:, None]
     # |u - diag_j| < 1, so max(|q_(j+1)|, |q_j|) <= (1 + step_j) max(|q_j|, |q_(j-1)|)
     growth = np.log2(1.0 + step).tolist()
-    inv_c2 = c**-2.0
-    Q = np.empty((n, n))
-    rows = list(Q)
-    rows[0].fill(1.0)
-    rows[1][:] = A[0]
-    total = np.zeros(n)
+    step, diag, inv_c2 = step.tolist(), diag.tolist(), (c**-2.0).tolist()
+    prev, cur = np.ones(n), (u - diag[0]) * step[0]
+    total, block = np.zeros(n), np.zeros(n)
     shifts = np.zeros(n, dtype=int)
-    start, bits = 0, growth[0]
+    bits = growth[0]
     for i in range(1, n - 1):
         bits += growth[i]
         if bits > _RESCALE_BITS:
-            top = np.maximum(np.abs(rows[i - 1]), np.abs(rows[i]))
-            shift = np.maximum(np.frexp(top)[1], 0)
-            block = Q[start : i - 1]
-            done = np.einsum("j,ji,ji->i", inv_c2[start : i - 1], block, block)
-            total = np.ldexp(total + done, -2 * shift)
-            Q[i - 1 : i + 1] = np.ldexp(Q[i - 1 : i + 1], -shift)
+            shift = np.maximum(np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1], 0)
+            total = np.ldexp(total + block, -2 * shift)
+            block.fill(0.0)
+            prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
             shifts += shift
-            start, bits = i - 1, growth[i]
-        np.multiply(A[i], rows[i], out=rows[i + 1])
-        np.subtract(rows[i + 1], rows[i - 1], out=rows[i + 1])
-    # einsum, not BLAS: the sum's order, and so its bits, must not depend on threads
-    total += np.einsum("j,ji,ji->i", inv_c2[start:], Q[start:], Q[start:])
+            bits = growth[i]
+        block += inv_c2[i - 1] * prev * prev
+        nxt = (u - diag[i]) * step[i]
+        nxt *= cur
+        nxt -= prev
+        prev, cur = cur, nxt
+    block += inv_c2[n - 2] * prev * prev
+    block += inv_c2[n - 1] * cur * cur
+    total += block
     w = np.ldexp(1.0 / total, -2 * shifts)
     return w / w.sum()
 

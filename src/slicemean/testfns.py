@@ -64,7 +64,9 @@ class _LinearWave(TestFunction):
         return self.t.size == k
 
     def eval(self, x):
-        return self.wave(np.asarray(x, dtype=float) @ self.t)
+        # the wave overwrites the projections; asarray makes one point's a 0-d array
+        y = np.asarray(np.asarray(x, dtype=float) @ self.t)
+        return self.wave(y, out=y)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class Monomial(TestFunction):
         out = np.ones(x.shape[:-1])
         for i, a in enumerate(self.alpha):
             if a:
-                out = out * x[..., i] ** a
+                out *= x[..., i] ** a
         return out
 
 

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from slicemean import cli, harness, testfns
+from slicemean import (
+    Monomial,
+    UnsupportedDimension,
+    build_slice,
+    cli,
+    harness,
+    slice_mean_quadrature,
+    testfns,
+    validate,
+)
 
 BASE_CONFIG = {
     "problem": {
@@ -243,6 +252,25 @@ class TestSliceAndLimit:
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1] == (
             "error: tensor Gauss-Hermite supports k <= 3; use Monte Carlo\n")
+
+    def test_k4_quadrature_refusal_names_routes_that_exist(self, tmp_path, capsys):
+        # a closed-form limit, so both commands reach the quadrature, which
+        # refuses k = 4 and names the library's MC and the `limit` command
+        cfg = write_config(
+            tmp_path,
+            problem={"Q": [[0.0, 0.0, 0.0, 0.0, 1.0]], "w0": [0.5], "k": 4},
+            function={"kind": "monomial", "params": {"alpha": [1, 0, 1, 0]}},
+        )
+        for argv in (["slice", "--n", "64"], ["sweep"]):
+            assert cli.main([*argv, "--config", cfg]) == 2
+            assert capsys.readouterr().err == (
+                "error: deterministic rule supports k <= 3 (got k = 4); the library's "
+                "slice_mean_mc has no k limit, and `slicemean limit` gives the Gaussian limit\n")
+        validated = validate(harness.problem_from_config(json.loads(Path(cfg).read_text())))
+        with pytest.raises(UnsupportedDimension):
+            slice_mean_quadrature(build_slice(validated, 64), Monomial(alpha=(1, 0, 1, 0)))
+        assert cli.main(["limit", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_form"] == 0.0
 
     def test_slice_byte_identical_across_threads(self, tmp_path):
         # 20,000 samples in shards of 4096: five shards on the pool
@@ -488,6 +516,10 @@ class TestCounterexampleCommand:
         ("verify", "checks", "normalization"),
         ("counterexample", "z", [0.0, -1000.5]),
     ],
+    # named, not numbered: a case added to the list renames no other
+    ids=["counterexample-z-0.3", "counterexample-R-empty", "counterexample-R-negative",
+         "counterexample-R-beyond-float64", "verify-mc_samples-0", "verify-checks-5",
+         "verify-checks-normalization", "counterexample-z-beyond-max-shift"],
 )
 def test_malformed_value_is_a_config_error(tmp_path, capsys, section, key, value):
     # each section is read by the subcommand of the same name

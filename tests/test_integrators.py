@@ -318,6 +318,20 @@ class TestMonteCarlo:
         assert a.value == b.value == c.value
         assert a.err_estimate == b.err_estimate == c.err_estimate
 
+    @pytest.mark.parametrize("fixture, n, t, shard, pinned", [
+        ("fix_b", 64, [0.9], 4096, (0.6614948170620957, 0.0012024654500859945)),
+        ("fix_b", 64, [0.9], 65536, (0.6595781120243648, 0.0012069992698776875)),
+        ("fix_c", 10**6, [0.8, -0.5], 4096, (0.6398995739509575, 0.0013220881071184228)),
+        ("fix_c", 10**6, [0.8, -0.5], 65536, (0.6372430122753336, 0.0013277046637335036)),
+    ])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_values(self, request, fixture, n, t, shard, pinned, threads):
+        # how a sample is drawn may change; the streams and their bits may not
+        geom = build_slice(request.getfixturevalue(fixture), n)
+        cfg = McConfig(n_samples=100_000, seed=7, shard_size=shard)
+        res = slice_mean_mc(geom, CosLinear(t=t), cfg, threads=threads)
+        assert (res.value, res.err_estimate) == pinned
+
     def test_shard_layout_changes_stream(self, fix_b):
         # different shard size means a different (still deterministic) result
         geom = build_slice(fix_b, 32)
@@ -385,6 +399,15 @@ class TestGaussianLimit:
         res = gaussian_limit(fix_b, fn, McConfig(n_samples=400_000, seed=8))
         assert not res.diverged
         assert abs(res.value - known_limit(fn, fix_b)) <= 4.0 * res.err_estimate
+
+    @pytest.mark.parametrize("fixture, t, pinned", [
+        ("fix_b", [0.9], (0.6628192640806934, 0.0006953676954596956)),
+        ("fix_c", [0.8, -0.5], (0.641408010945787, 0.0007596465447589905)),
+    ])
+    def test_mc_route_pinned_values(self, request, fixture, t, pinned):
+        res = gaussian_limit(request.getfixturevalue(fixture), CosLinear(t=t),
+                             McConfig(n_samples=300_000))
+        assert (res.value, res.err_estimate, res.n_evals, res.diverged) == (*pinned, 300_000, False)
 
     def test_gh_refuses_counterexample(self, fix_a0):
         with pytest.raises(InadmissibleFunction):

@@ -1,9 +1,11 @@
+import hashlib
 import inspect
 import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -134,6 +136,19 @@ class TestBetaRadialRule:
         assert_allclose(w.sum(), 1.0, rtol=1e-13)
         assert_allclose((w * u).sum(), beta_moment(k, exponent, 1), rtol=1e-12)
 
+    @pytest.mark.parametrize("k, exponent, n, digest", [
+        (1, 0.5, 512, "f065e4b2d2336a6fb1b3d71de1ec7b31d3eca91964136a998806b08b187a337d"),
+        (1, 510.0, 256, "bb1f4f1243336aa870f944a6c4e4b7e87052fbc137af77570c1684b8a53727e7"),
+        (2, 2.0**52, 512, "88839ae814374231752d90a281e36cbbb2d228dbaf07ca043d87ff283c83657b"),
+        (3, 30.5, 256, "36920a50e57aa521d97dd93dd9c6687444d33647837ab12413417717d6687dd9"),
+        (3, 1e6, 64, "b6990105f4298ba0720bdae7dfb3c534eb9b95dff33bf81158c43c22241d7427"),
+        (1, 3.0, 8, "b52a69c787002406f5c325df3528c854c11ea456d6c823713f830a669ccfce8a"),
+    ])
+    def test_rule_bits_are_pinned(self, k, exponent, n, digest):
+        # how the rule is built may change; its bits may not
+        u, w = beta_radial_rule(k, exponent, n)
+        assert hashlib.sha256(u.tobytes() + w.tobytes()).hexdigest() == digest
+
     def test_single_node(self):
         u, w = beta_radial_rule(2, 3.0, 1)
         assert_allclose(w, [1.0])
@@ -144,6 +159,42 @@ class TestBetaRadialRule:
             beta_radial_rule(1, -1.5, 8)
         with pytest.raises(ValueError):
             beta_radial_rule(1, 1.0, 0)
+
+
+class TestBuildMemory:
+    """Traced numpy memory of a cold 512-node build, on keys no other test
+    builds, so the memo cannot hide the build."""
+
+    def test_weights_work_in_arrays_of_n(self, monkeypatch):
+        # an (n - 1) x n recurrence matrix and an n x n table of its rows
+        # took 4.1 MB here
+        inner, peaks = rules._christoffel_weights, []
+
+        def traced(*args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            w = inner(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return w
+
+        monkeypatch.setattr(rules, "_christoffel_weights", traced)
+        tracemalloc.start()
+        try:
+            beta_radial_rule(1, 4321.25, 512)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] <= 0.25e6
+
+    def test_build_holds_one_n_by_n_matrix(self):
+        # the Jacobi matrix is 2.1 MB at 512 nodes; a sum of np.diag
+        # matrices and the weights' tables took the peak to 4.15 MB
+        tracemalloc.start()
+        try:
+            beta_radial_rule(2, 333.25, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
 
 class TestSphereDirections:
