@@ -189,7 +189,8 @@ def _christoffel_weights(u, diag, off):
     for i in range(1, n - 1):
         bits += growth[i]
         if bits > _RESCALE_BITS:
-            shift = np.maximum(np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1], 0)
+            top = np.maximum(np.abs(prev), np.abs(cur))
+            shift = np.maximum(np.frexp(top)[1], 0)
             total = np.ldexp(total + block, -2 * shift)
             block.fill(0.0)
             prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)

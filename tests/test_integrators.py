@@ -323,8 +323,8 @@ class TestMonteCarlo:
         ("fix_b", 64, [0.9], 65536, (0.6595781120243648, 0.0012069992698776875)),
         ("fix_c", 10**6, [0.8, -0.5], 4096, (0.6398995739509575, 0.0013220881071184228)),
         ("fix_c", 10**6, [0.8, -0.5], 65536, (0.6372430122753336, 0.0013277046637335036)),
-    ])
-    @pytest.mark.parametrize("threads", [1, 2])
+    ], ids=["fix_b-64-4096", "fix_b-64-65536", "fix_c-1e6-4096", "fix_c-1e6-65536"])
+    @pytest.mark.parametrize("threads", [1, 2], ids=["threads1", "threads2"])
     def test_pinned_values(self, request, fixture, n, t, shard, pinned, threads):
         # how a sample is drawn may change; the streams and their bits may not
         geom = build_slice(request.getfixturevalue(fixture), n)
@@ -403,7 +403,7 @@ class TestGaussianLimit:
     @pytest.mark.parametrize("fixture, t, pinned", [
         ("fix_b", [0.9], (0.6628192640806934, 0.0006953676954596956)),
         ("fix_c", [0.8, -0.5], (0.641408010945787, 0.0007596465447589905)),
-    ])
+    ], ids=["fix_b", "fix_c"])
     def test_mc_route_pinned_values(self, request, fixture, t, pinned):
         res = gaussian_limit(request.getfixturevalue(fixture), CosLinear(t=t),
                              McConfig(n_samples=300_000))

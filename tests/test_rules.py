@@ -143,7 +143,7 @@ class TestBetaRadialRule:
         (3, 30.5, 256, "36920a50e57aa521d97dd93dd9c6687444d33647837ab12413417717d6687dd9"),
         (3, 1e6, 64, "b6990105f4298ba0720bdae7dfb3c534eb9b95dff33bf81158c43c22241d7427"),
         (1, 3.0, 8, "b52a69c787002406f5c325df3528c854c11ea456d6c823713f830a669ccfce8a"),
-    ])
+    ], ids=["k1-0.5-512", "k1-510-256", "k2-2^52-512", "k3-30.5-256", "k3-1e6-64", "k1-3-8"])
     def test_rule_bits_are_pinned(self, k, exponent, n, digest):
         # how the rule is built may change; its bits may not
         u, w = beta_radial_rule(k, exponent, n)
