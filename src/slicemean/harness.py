@@ -534,8 +534,9 @@ def _factor_invariance(ctx: _Ctx):
             o = _haar_orthogonal(rng, validated.k)
             geom_rot = dataclasses.replace(geom, chol=geom.chol @ o)
             rot = slice_mean_quadrature(geom_rot, fn)
-            slack = 10.0 * max(base.err_estimate, 1e-15)
-            yield abs(rot.value - base.value) - slack
+            # a fixed bound: the rotated rule agrees to round-off, whatever
+            # the error estimate of the base result
+            yield abs(rot.value - base.value) - 1e-13
 
 
 @_check("basis_invariance")
@@ -655,52 +656,53 @@ CROSS_ORACLE_NS = [16, 32, 64, 128, 256]
 
 @_check("cross_oracle")
 def _cross_oracle(ctx: _Ctx):
+    # quadrature on this thread, then the independent MC draws on the pool;
     # a trial's violation is the count of disagreements so far beyond the
     # allowance of 2: the largest is the final count less 2
-    disagreements = 0
+    runs, quads = [], []
     for salt, spec in enumerate((FIX_A3, FIX_B)):
         validated = _fixture(spec)
         for fi, fn in enumerate(CROSS_ORACLE_FUNCTIONS):
             for n in CROSS_ORACLE_NS:
                 geom = build_slice(validated, n)
-                quad = slice_mean_quadrature(geom, fn)
-                mc = slice_mean_mc(
-                    geom,
-                    fn,
-                    McConfig(
-                        n_samples=ctx.mc_samples,
-                        seed=(ctx.seed + 1000 * salt + 10 * fi + n) % 2**64,
-                    ),
-                    threads=ctx.threads,
-                )
-                window = 4.0 * (quad.err_estimate + mc.err_estimate)
-                if abs(quad.value - mc.value) > window:
-                    disagreements += 1
-                yield disagreements - 2
+                seed = (ctx.seed + 1000 * salt + 10 * fi + n) % 2**64
+                runs.append((geom, fn, McConfig(n_samples=ctx.mc_samples, seed=seed)))
+                quads.append(slice_mean_quadrature(geom, fn))
+    mcs = _ordered_map(lambda run: slice_mean_mc(*run), runs, ctx.threads)
+    disagreements = 0
+    for quad, mc in zip(quads, mcs):
+        window = 4.0 * (quad.err_estimate + mc.err_estimate)
+        if abs(quad.value - mc.value) > window:
+            disagreements += 1
+        yield disagreements - 2
 
 
 @_check("mc_vs_known_limit")
 def _mc_vs_known_limit(ctx: _Ctx):
+    # the inputs drawn in order on this thread, the MC runs on the pool
     rng = ctx.rng(15)
+    runs = []
     for spec in (FIX_A0, FIX_B):
         validated = _fixture(spec)
         for _ in range(10):
-            t = rng.standard_normal(validated.k)
-            fn = CosLinear(t=t)
-            closed = known_limit(fn, validated)
-            mc = gaussian_limit(
-                validated,
-                fn,
-                McConfig(n_samples=1_000_000, seed=int(rng.integers(0, 2**63))),
-            )
-            yield abs(mc.value - closed) - 4.0 * mc.err_estimate
+            fn = CosLinear(t=rng.standard_normal(validated.k))
+            seed = int(rng.integers(0, 2**63))
+            runs.append((validated, fn, McConfig(n_samples=1_000_000, seed=seed)))
+    mcs = _ordered_map(lambda run: gaussian_limit(*run), runs, ctx.threads)
+    for (validated, fn, _), mc in zip(runs, mcs):
+        yield abs(mc.value - known_limit(fn, validated)) - 4.0 * mc.err_estimate
 
 
 def run_verify(cfg: dict, threads: int = 1, seed=None) -> VerifyReport:
     """Run the configured property checks with fixed seeds.
 
-    Failures become report entries, not exceptions; the CLI turns a failed
-    report into exit code 1.
+    The checks run one after another. ``threads`` workers run the
+    independent MC runs of ``cross_oracle`` and ``mc_vs_known_limit``, each
+    run serial inside; every input is drawn, and every quadrature taken, on
+    the calling thread. (``mc_determinism`` compares 1 thread with 4 at any
+    ``threads``.) MC results do not depend on the thread count, so neither
+    does the report. Failures become report entries, not exceptions; the
+    CLI turns a failed report into exit code 1.
     """
     validate_config(cfg)
     names, mc_samples = _verify_section(cfg)

@@ -359,6 +359,30 @@ class TestRunVerify:
         assert lines[0] == "name,passed,worst_violation,trials"
         assert len(lines) == len(self.FAST) + 1
 
+    POOLED = {"verify": {"checks": ["cross_oracle", "mc_vs_known_limit"], "mc_samples": 20000}}
+
+    def test_pooled_checks_do_not_depend_on_threads(self):
+        # these checks run their MC draws on the worker pool; the report
+        # must not show how many workers there were
+        base, *others = (harness.run_verify(self.POOLED, threads=t, seed=7).checks
+                         for t in (1, 2, 5))
+        assert all(other == base for other in others)
+
+    def test_pooled_checks_pinned(self):
+        # written from the serial code, before the draws went on the pool
+        report = harness.run_verify(self.POOLED, threads=2, seed=7)
+        assert [(c.name, c.worst_violation, c.trials) for c in report.checks] == [
+            ("cross_oracle", -2.0, 50),
+            ("mc_vs_known_limit", -5.0936024553626e-06, 20),
+        ]
+
+    def test_factor_invariance_has_a_fixed_bound(self):
+        # the rotated values agree to round-off; the slack is 1e-13, not a
+        # multiple of the base result's error estimate (about 4e-12 on FIX-B)
+        (result,) = harness.run_verify({"verify": {"checks": ["factor_invariance"]}}).checks
+        assert -1e-13 <= result.worst_violation <= 0.0
+        assert result.trials == 6
+
 
 class TestRunCounterexample:
     def test_default_grid(self):

@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 
@@ -30,7 +31,7 @@ from slicemean import (
     validate,
 )
 from slicemean.affine_model import truncated_matrix
-from slicemean.integrators import _gaussian_mc, _quad_pass, _shard_rng
+from slicemean.integrators import _gaussian_mc, _ordered_map, _quad_pass, _shard_rng
 
 
 def _full_basis_mc(validated, geom, phi, n_samples, seed):
@@ -373,6 +374,35 @@ class TestMonteCarlo:
         geom = build_slice(validated, 64)
         res = slice_mean_mc(geom, Monomial(alpha=(0,) * 5), McConfig(1000, seed=6))
         assert res.value == 1.0
+
+
+class TestOrderedMap:
+    def test_item_order_when_an_earlier_item_finishes_last(self):
+        finished = []
+
+        def slow_first(i):
+            time.sleep(0.02 * (5 - i))
+            finished.append(i)
+            return i * i
+
+        assert _ordered_map(slow_first, range(5), threads=3) == [0, 1, 4, 9, 16]
+        # the pool really ran them out of order
+        assert finished != sorted(finished)
+
+    def test_one_thread_is_the_serial_map(self):
+        caller = threading.get_ident()
+        got = _ordered_map(lambda i: (i + 1, threading.get_ident()), [3, 1, 2], threads=1)
+        assert got == [(4, caller), (2, caller), (3, caller)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_an_item_that_raises_makes_the_call_raise(self, threads):
+        def fail_on_two(i):
+            if i == 2:
+                raise NonFinite(f"item {i}")
+            return i
+
+        with pytest.raises(NonFinite, match="item 2"):
+            _ordered_map(fail_on_two, range(4), threads)
 
 
 class TestGaussianLimit:
