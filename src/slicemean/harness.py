@@ -656,8 +656,9 @@ CROSS_ORACLE_NS = [16, 32, 64, 128, 256]
 
 @_check("cross_oracle")
 def _cross_oracle(ctx: _Ctx):
-    # quadrature on this thread, then the independent MC draws on the pool;
-    # a trial's violation is the count of disagreements so far beyond the
+    # every quadrature on this thread before the MC runs go on the pool:
+    # cold radial-rule builds that overlapped would raise peak memory. A
+    # trial's violation is the count of disagreements so far beyond the
     # allowance of 2: the largest is the final count less 2
     runs, quads = [], []
     for salt, spec in enumerate((FIX_A3, FIX_B)):
@@ -679,7 +680,8 @@ def _cross_oracle(ctx: _Ctx):
 
 @_check("mc_vs_known_limit")
 def _mc_vs_known_limit(ctx: _Ctx):
-    # the inputs drawn in order on this thread, the MC runs on the pool
+    # the inputs come off one generator, in trial order, on this thread;
+    # only the MC runs go on the pool
     rng = ctx.rng(15)
     runs = []
     for spec in (FIX_A0, FIX_B):
