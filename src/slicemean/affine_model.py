@@ -43,12 +43,24 @@ def _is_finite_number(value) -> bool:
 
 
 def _finite_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array of the same shape; ValueError unless every
-    entry is a finite number in the sense of ``_is_finite_number``."""
-    entries = np.asarray(values, dtype=object)
-    if not all(_is_finite_number(v) for v in entries.reshape(-1)):
-        raise ValueError(f"{name} must hold finite numbers, got {values!r}")
-    return entries.astype(float)
+    """``values`` as a new float array of the same shape; ValueError unless
+    every entry is a finite number in the sense of ``_is_finite_number``.
+
+    A real, non-bool ndarray is judged after its cast: an entry is finite
+    there exactly when its float is, a longdouble beyond the float64 range
+    casting to inf. Anything else (lists from a config, object arrays) is
+    walked entry by entry.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        with np.errstate(over="ignore"):
+            out = np.asarray(values).astype(float)
+        if np.isfinite(out).all():
+            return out
+    else:
+        entries = np.asarray(values, dtype=object)
+        if all(_is_finite_number(v) for v in entries.reshape(-1)):
+            return entries.astype(float)
+    raise ValueError(f"{name} must hold finite numbers, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,7 @@ class AffineProblem:
             raise ValueError(f"w0 length {w0.size} != {q.shape[0]} constraint rows")
         if not (_is_int(self.k) and self.k >= 1):
             raise ValueError(f"cylinder dimension k must be an integer >= 1, got {self.k!r}")
-        q = q.copy()
-        w0 = w0.copy()
+        # both are new arrays (see _finite_array), so no caller holds them
         q.flags.writeable = False
         w0.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -175,7 +186,8 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
       * N exceeds the squared norm of the truncated closest point
         (the slice sphere has positive radius).
 
-    The scan takes one QR per N. It starts at the first N at which every row
+    The scan takes one QR per N; after a failed rank rule it takes R alone
+    until the rule passes again. It starts at the first N at which every row
     of Q has a nonzero entry (below it [Q_N^T | E_k^T] has a zero column, so
     the rank rule fails) and stops below the width, where the QR above
     decides: the width is factored once.
@@ -204,10 +216,17 @@ def validate(problem: AffineProblem) -> ValidatedProblem:
     # the first N at which every row of Q has a nonzero entry
     first = int((problem.q != 0).argmax(axis=1).max()) + 1
     n_min = None
+    failed = False
     for n in range(max(k + m + 2, first), w):
-        qr = numlin.StackedQR(truncated_matrix(problem, n), k)
+        q_n = truncated_matrix(problem, n)
+        # after a failed margin the next is likely to fail too: read it from
+        # R alone, and form U only once one passes
+        if failed and numlin._stacked_margin(q_n, k) <= numlin.DEFAULT_TOL:
+            continue
+        qr = numlin.StackedQR(q_n, k)
         ratio = qr.margin
-        if ratio <= numlin.DEFAULT_TOL:
+        failed = ratio <= numlin.DEFAULT_TOL
+        if failed:
             continue
         zn = qr.center(problem.w0)
         if n > float(zn @ zn):

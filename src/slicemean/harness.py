@@ -483,17 +483,26 @@ def _preimage_inequality(ctx: _Ctx):
         yield rhs - lhs - 1e-12
 
 
+def _bound_draws(rng, trials: int = 10_000):
+    """``trials`` random (k, m, N, y) as four arrays: k, m in 1..4, N in
+    [k + m + 3, 10^4), y uniform in [0, N)."""
+    k = rng.integers(1, 5, trials)
+    m = rng.integers(1, 5, trials)
+    n = rng.integers(k + m + 3, 10_000)
+    return k, m, n, rng.uniform(0.0, n)
+
+
+def _bound_violations(k, m, n, y) -> np.ndarray:
+    """(1 - y/N)^((N-k-m-2)/2) - e^((k+m+2)/2) e^(-y/2) - 1e-12 for each draw.
+    Where y/N rounds to 1 the left side is exp(-inf) = 0."""
+    with np.errstate(divide="ignore"):
+        lhs = np.exp(0.5 * (n - k - m - 2) * np.log1p(-y / n))
+    return lhs - (np.exp(0.5 * (k + m + 2)) * np.exp(-0.5 * y) + 1e-12)
+
+
 @_check("dominating_bound")
 def _dominating_bound(ctx: _Ctx):
-    rng = ctx.rng(5)
-    for _ in range(10_000):
-        k = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 5))
-        n = int(rng.integers(k + m + 3, 10_000))
-        y = float(rng.uniform(0.0, n))
-        lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
-        rhs = math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12
-        yield lhs - rhs
+    yield from _bound_violations(*_bound_draws(ctx.rng(5))).tolist()
 
 
 @_check("characteristic_function_identity")

@@ -29,6 +29,7 @@ from numpy.random import Generator, Philox
 
 from .affine_model import ValidatedProblem, _is_count, _is_int
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
+from .numlin import _matmul
 from .rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
 from .slice_geometry import SliceGeometry
 from .testfns import TestFunction
@@ -256,7 +257,9 @@ def slice_mean_mc(
     degrees of freedom. So each sample costs k normals and one chi-square
     draw at any N. Works for any k. A chunk's points are built in place in
     the (b, k) array of z C^T, with one array of b for the scale; the RNG
-    calls, and so the streams, are those of the plain formula.
+    calls, and so the streams, are those of the plain formula. At k = 1,
+    |z|^2 is a square and z C^T a broadcast multiply (``numlin._matmul``),
+    with the bytes of the einsum and the matmul they stand for.
     """
     k = geom.k
     _require_fit(phi, k)
@@ -265,10 +268,10 @@ def slice_mean_mc(
     def draw(rng, b):
         z = rng.standard_normal((b, k))
         scale = rng.chisquare(df, b)
-        scale += np.einsum("ij,ij->i", z, z)
+        scale += np.einsum("ij,ij->i", z, z) if k > 1 else np.square(z[:, 0])
         np.sqrt(scale, out=scale)
         np.divide(geom.a_z, scale, out=scale)
-        x = z @ geom.chol.T
+        x = _matmul(z, geom.chol.T)
         x *= scale[:, None]
         x += geom.x0
         return x
@@ -313,11 +316,15 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
     doublings keep shifting the estimate past its recorded uncertainty;
     comparing against the newest stderr instead would be blind here, since a
     heavy sample inflates the estimate and its stderr together.)
+
+    A chunk is one (b, k) array of standard normals times C^T plus the
+    mean; at k = 1 the product is a broadcast multiply (``numlin._matmul``)
+    with the matmul's bytes.
     """
     k = mu.size
 
     def draw(rng, b):
-        x = rng.standard_normal((b, k)) @ chol.T
+        x = _matmul(rng.standard_normal((b, k)), chol.T)
         x += mu
         return x
 

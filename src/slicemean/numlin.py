@@ -11,6 +11,7 @@ m x m or k x k, so ``solve_lower`` substitutes one row at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +65,21 @@ def solve_lower(low: np.ndarray, b) -> np.ndarray:
     return x
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a vector or matrix ``b``, with the same shape and bytes.
+
+    numpy runs a product over an inner dimension of 1 on a slow path; here it
+    is a broadcast multiply. Adding 0.0 turns the multiply's -0.0 into the
+    +0.0 that matmul's sum gives. Wider products go to ``@``: BLAS fuses
+    multiply-adds, so a sum in any other order can differ in its bytes.
+    """
+    if a.shape[-1:] != (1,) or b.shape[:1] != (1,) or b.ndim > 2:
+        return a @ b
+    out = a[..., 0] * b[0] if b.ndim == 1 else a * b[0]
+    out += 0.0
+    return out
+
+
 class StackedQR:
     """Thin Householder QR [q^T | E_k^T] = U R of an m x n constraint block q
     and the first k coordinate rows E_k (Golub & Van Loan, *Matrix
@@ -81,9 +97,9 @@ class StackedQR:
 
     def __init__(self, q: np.ndarray, k: int):
         self.m = q.shape[0]
-        self.u, self.r = np.linalg.qr(np.hstack([q.T, np.eye(q.shape[1], k)]))
+        self.u, self.r = np.linalg.qr(_stacked(q, k))
 
-    @property
+    @functools.cached_property
     def margin(self) -> float:
         """sigma_(m+k) / sigma_1 of [q; E_k]. By interlacing it is at most
         sigma_m / sigma_1 of q, so margin > DEFAULT_TOL implies full row rank."""
@@ -119,6 +135,17 @@ class StackedQR:
                 f"first {self.r.shape[1] - m} coordinate(s) ({ratios})"
             )
         return r22.T * np.sign(np.diag(r22))
+
+
+def _stacked(q: np.ndarray, k: int) -> np.ndarray:
+    return np.hstack([q.T, np.eye(q.shape[1], k)])
+
+
+def _stacked_margin(q: np.ndarray, k: int) -> float:
+    """``StackedQR(q, k).margin`` from R alone, without forming U: mode "r"
+    runs the Householder pass that the reduced mode runs before it forms U,
+    so R, and the margin, have the same bytes."""
+    return _singular_ratio(np.linalg.qr(_stacked(q, k), mode="r"))
 
 
 def _singular_ratio(r: np.ndarray) -> float:

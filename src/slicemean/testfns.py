@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine_model import ValidatedProblem, _finite_array, _is_finite_number, _is_int
+from .numlin import _matmul
 
 LP_ALL = "L^p for all p"
 LP_ONE = "L^1 only"
@@ -65,7 +66,7 @@ class _LinearWave(TestFunction):
 
     def eval(self, x):
         # the wave overwrites the projections; asarray makes one point's a 0-d array
-        y = np.asarray(np.asarray(x, dtype=float) @ self.t)
+        y = np.asarray(_matmul(np.asarray(x, dtype=float), self.t))
         return self.wave(y, out=y)
 
 

@@ -19,7 +19,7 @@ from slicemean import (
     numlin,
     validate,
 )
-from slicemean.affine_model import least_norm_center, truncated_matrix
+from slicemean.affine_model import _finite_array, least_norm_center, truncated_matrix
 
 
 class TestValidate:
@@ -288,6 +288,45 @@ class TestProblemType:
         # w0 was flattened
         with pytest.raises(ValueError, match="w0|Q"):
             AffineProblem(q=q, w0=w0, k=1)
+
+    @staticmethod
+    def verdict(values):
+        try:
+            out = _finite_array(values, "Q")
+        except ValueError:
+            return "refused"
+        return out.shape, out.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, accepted",
+        [
+            (np.array([[1.0, np.nan]]), False),
+            (np.array([np.inf, 2.0]), False),
+            (np.array([[-np.inf]]), False),
+            (np.array([[3.0, -0.0], [1e-310, -1.7e308]]), True),
+            (np.array([1.5, -2.25], dtype=np.float32), True),
+            (np.array([[-(2**63), 2**63 - 1, 0]]), True),
+            (np.array([2**64 - 1, 7], dtype=np.uint64), True),
+            (np.array([-128, 5], dtype=np.int8), True),
+            (np.array([True, False]), False),
+            (np.array([np.longdouble("1e400"), 1.0], dtype=np.longdouble), False),
+            (np.array([np.longdouble("1e300") / 3], dtype=np.longdouble), True),
+        ],
+        ids=["nan", "inf", "minus_inf", "finite", "float32", "int64", "uint64", "int8", "bool",
+             "longdouble_huge", "longdouble"],
+    )
+    def test_array_and_walk_agree(self, entries, accepted):
+        # a real ndarray is judged on its float cast, anything else entry by
+        # entry; both routes accept the same inputs with the same bytes
+        got = self.verdict(entries)
+        assert (got != "refused") == accepted
+        assert got == self.verdict(entries.astype(object))
+        assert got == self.verdict(entries.tolist())
+
+    @pytest.mark.parametrize("bad", [True, "2", 10**400])
+    def test_object_entries_that_are_not_finite_numbers(self, bad):
+        for entries in ([1.0, bad], np.array([1.0, bad], dtype=object)):
+            assert self.verdict(entries) == "refused"
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):

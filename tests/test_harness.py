@@ -2,9 +2,11 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicemean import AffineProblem, ConfigError, InadmissibleFunction
@@ -382,6 +384,46 @@ class TestRunVerify:
         (result,) = harness.run_verify({"verify": {"checks": ["factor_invariance"]}}).checks
         assert -1e-13 <= result.worst_violation <= 0.0
         assert result.trials == 6
+
+
+class TestDominatingBound:
+    """(1 - y/N)^((N-k-m-2)/2) <= e^((k+m+2)/2) e^(-y/2), over 10,000 draws at once."""
+
+    @staticmethod
+    def scalar(k, m, n, y):
+        # the bound as it reads, one draw at a time: (left, right) with the slack
+        lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
+        return lhs, math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12
+
+    def test_reports_ten_thousand_trials(self):
+        (result,) = harness.run_verify({"verify": {"checks": ["dominating_bound"]}}).checks
+        assert result.trials == 10_000
+        assert result.passed
+
+    @pytest.mark.parametrize("seed", [harness.DEFAULT_SEED, 1, 215])
+    def test_violations_match_a_scalar_evaluation(self, seed):
+        ctx = harness._Ctx(seed=seed, threads=1, mc_samples=1)
+        draws = harness._bound_draws(ctx.rng(5))
+        got = harness._bound_violations(*draws)
+        assert got.shape == (10_000,)
+        # numpy's exp and log1p are not the C library's: a few draws in a
+        # thousand differ in the last bit of a side
+        for violation, k, m, n, y in zip(got.tolist(), *(d.tolist() for d in draws)):
+            lhs, rhs = self.scalar(k, m, n, y)
+            assert abs(violation - (lhs - rhs)) <= 4 * sys.float_info.epsilon * (lhs + rhs)
+        (result,) = harness.run_verify({"verify": {"checks": ["dominating_bound"]}},
+                                       seed=seed).checks
+        assert result.worst_violation == max(got.tolist())
+
+    def test_y_at_n_is_zero_on_the_left_without_a_warning(self):
+        # y/N = 1 takes log1p(-1) = -inf; a RuntimeWarning would fail here
+        k, m, n = np.array([1, 4]), np.array([1, 4]), np.array([5, 9999])
+        y = n.astype(float)
+        got = harness._bound_violations(k, m, n, y)
+        for violation, *draw in zip(got.tolist(), k.tolist(), m.tolist(), n.tolist(), y.tolist()):
+            lhs, rhs = self.scalar(*draw)
+            assert lhs == 0.0
+            assert abs(violation + rhs) <= 4 * sys.float_info.epsilon * rhs
 
 
 class TestRunCounterexample:

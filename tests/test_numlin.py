@@ -14,9 +14,11 @@ from slicemean import (
     RankDeficient,
     kernel_onb,
     log_surface_constant,
+    numlin,
+    validate,
 )
 from slicemean.affine_model import least_norm_center
-from slicemean.numlin import StackedQR, solve_lower
+from slicemean.numlin import StackedQR, _matmul, solve_lower
 
 
 def least_norm(q, w):
@@ -133,6 +135,103 @@ class TestStackedQRRules:
         qr = StackedQR(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), 1)
         with pytest.raises(RankDeficient, match=r"^rank < 2 on the first 3 column\(s\) of Q \("):
             qr.gram_factor()
+
+
+class TestStackedQRWork:
+    """Each factorization's work is done once, and only where a result needs it."""
+
+    def test_margin_from_r_alone_has_the_same_bytes(self):
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            m, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            n = int(rng.integers(1, 60))
+            q = rng.standard_normal((m, n))
+            a = np.hstack([q.T, np.eye(n, k)])
+            assert np.linalg.qr(a, mode="r").tobytes() == StackedQR(q, k).r.tobytes()
+            assert numlin._stacked_margin(q, k).hex() == StackedQR(q, k).margin.hex()
+
+    def test_margin_takes_one_svd(self, monkeypatch):
+        # validate reads the width's margin in gram_factor and again itself
+        shapes = []
+        ratio_of = numlin._singular_ratio
+
+        def counted(r):
+            shapes.append(r.shape)
+            return ratio_of(r)
+
+        monkeypatch.setattr(numlin, "_singular_ratio", counted)
+        qr = StackedQR(np.array([[3.0, 4.0]]), 1)
+        qr.gram_factor()
+        first = qr.margin
+        assert qr.margin == first
+        assert shapes == [(2, 2)]
+
+    def test_u_is_formed_only_for_center(self, monkeypatch):
+        # ker Q_N misses R^1 for N < 7 (the row starts with a 1): after the
+        # failed margin at N = 4 the scan reads N = 5 and 6 from R alone
+        modes = []
+        qr_of = np.linalg.qr
+
+        def counted(a, mode="reduced"):
+            modes.append(mode)
+            return qr_of(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        validated = validate(AffineProblem(q=[[1.0, 0, 0, 0, 0, 0, 1.0]], w0=[1.0], k=1))
+        assert validated.n_min == 7
+        assert modes == ["reduced", "reduced", "r", "r"]
+
+
+class TestMatmul:
+    """``_matmul`` gives ``@``'s shape and bytes; only inner dimension 1 is
+    computed another way."""
+
+    @staticmethod
+    def assert_same(a, b):
+        want, got = a @ b, _matmul(a, b)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_column_times_one_by_one(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((1000, 1))
+        a[:3, 0] = [-0.0, 0.0, -1e-300]
+        for c in ([[1.3]], [[-0.7]], [[0.0]], [[-0.0]]):
+            self.assert_same(a, np.array(c))
+
+    def test_stacked_columns_times_a_vector(self):
+        # a k = 1 quadrature pass evaluates (radial, 2 directions, 1) points
+        a = np.random.default_rng(2).standard_normal((64, 2, 1))
+        for t in ([0.9], [-2.5], [0.0]):
+            self.assert_same(a, np.array(t))
+
+    def test_one_point(self):
+        self.assert_same(np.array([0.3]), np.array([-1.7]))
+
+    def test_negative_zero_product_is_positive_zero(self):
+        got = _matmul(np.array([[-1.0]]), np.array([0.0]))
+        assert got.tobytes() == np.array([0.0]).tobytes()
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_wider_products_go_to_matmul(self, k):
+        calls = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(other.shape)
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(k)
+        a, t, c = rng.standard_normal((50, k)), rng.standard_normal(k), rng.standard_normal((k, k))
+        for b in (t, c):
+            got = _matmul(a.view(Recorded), b)
+            assert np.asarray(got).tobytes() == (a @ b).tobytes()
+        assert calls == [(k,), (k, k)]
+        # a one-column product does not reach it
+        _matmul(a[:, :1].view(Recorded), t[:1])
+        assert len(calls) == 2
 
 
 class TestLogSurfaceConstant:
