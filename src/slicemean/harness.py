@@ -483,11 +483,11 @@ def _preimage_inequality(ctx: _Ctx):
         yield rhs - lhs - 1e-12
 
 
-def _bound_draws(rng, trials: int = 10_000):
-    """``trials`` random (k, m, N, y) as four arrays: k, m in 1..4, N in
+def _bound_draws(rng):
+    """10,000 random (k, m, N, y) as four arrays: k, m in 1..4, N in
     [k + m + 3, 10^4), y uniform in [0, N)."""
-    k = rng.integers(1, 5, trials)
-    m = rng.integers(1, 5, trials)
+    k = rng.integers(1, 5, 10_000)
+    m = rng.integers(1, 5, 10_000)
     n = rng.integers(k + m + 3, 10_000)
     return k, m, n, rng.uniform(0.0, n)
 

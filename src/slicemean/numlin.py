@@ -65,15 +65,22 @@ def solve_lower(low: np.ndarray, b) -> np.ndarray:
     return x
 
 
+#: Entries of ``a`` up to which ``_matmul`` keeps numpy's ``@`` for an inner
+#: dimension of 1 (the two cost the same near 256 rows on one core).
+_MATMUL_ROWS = 256
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a vector or matrix ``b``, with the same shape and bytes.
 
     numpy runs a product over an inner dimension of 1 on a slow path; here it
     is a broadcast multiply. Adding 0.0 turns the multiply's -0.0 into the
-    +0.0 that matmul's sum gives. Wider products go to ``@``: BLAS fuses
+    +0.0 that matmul's sum gives. Up to _MATMUL_ROWS entries of ``a`` the
+    slow path still costs less than the two ufunc calls, so the small arrays
+    of a quadrature pass go to ``@``. So do wider products: BLAS fuses
     multiply-adds, so a sum in any other order can differ in its bytes.
     """
-    if a.shape[-1:] != (1,) or b.shape[:1] != (1,) or b.ndim > 2:
+    if a.size <= _MATMUL_ROWS or a.shape[-1:] != (1,) or b.shape[:1] != (1,) or b.ndim > 2:
         return a @ b
     out = a[..., 0] * b[0] if b.ndim == 1 else a * b[0]
     out += 0.0

@@ -201,17 +201,22 @@ class TestMatmul:
             self.assert_same(a, np.array(c))
 
     def test_stacked_columns_times_a_vector(self):
-        # a k = 1 quadrature pass evaluates (radial, 2 directions, 1) points
-        a = np.random.default_rng(2).standard_normal((64, 2, 1))
-        for t in ([0.9], [-2.5], [0.0]):
-            self.assert_same(a, np.array(t))
+        # a k = 1 quadrature pass evaluates (radial, 2 directions, 1) points;
+        # 8 radial nodes stay on @, 512 take the multiply
+        rng = np.random.default_rng(2)
+        for rows in (8, 512):
+            a = rng.standard_normal((rows, 2, 1))
+            for t in ([0.9], [-2.5], [0.0]):
+                self.assert_same(a, np.array(t))
 
     def test_one_point(self):
         self.assert_same(np.array([0.3]), np.array([-1.7]))
 
-    def test_negative_zero_product_is_positive_zero(self):
-        got = _matmul(np.array([[-1.0]]), np.array([0.0]))
-        assert got.tobytes() == np.array([0.0]).tobytes()
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_negative_zero_product_is_positive_zero(self, rows):
+        # [[-1.0]] @ [0.0] is +0.0; the bare product is -0.0
+        got = _matmul(np.full((rows, 1), -1.0), np.array([0.0]))
+        assert got.tobytes() == np.zeros(rows).tobytes()
         assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -229,8 +234,9 @@ class TestMatmul:
             got = _matmul(a.view(Recorded), b)
             assert np.asarray(got).tobytes() == (a @ b).tobytes()
         assert calls == [(k,), (k, k)]
-        # a one-column product does not reach it
-        _matmul(a[:, :1].view(Recorded), t[:1])
+        # a one-column product above _MATMUL_ROWS does not reach it
+        column = rng.standard_normal((numlin._MATMUL_ROWS + 1, 1))
+        _matmul(column.view(Recorded), t[:1])
         assert len(calls) == 2
 
 
