@@ -493,11 +493,14 @@ def _bound_draws(rng):
 
 
 def _bound_violations(k, m, n, y) -> np.ndarray:
-    """(1 - y/N)^((N-k-m-2)/2) - e^((k+m+2)/2) e^(-y/2) - 1e-12 for each draw.
-    Where y/N rounds to 1 the left side is exp(-inf) = 0."""
+    """log (1 - y/N)^((N-k-m-2)/2) - log(e^((k+m+2)/2) e^(-y/2) + 1e-12) for
+    each draw: positive exactly where the bound with its slack fails. In logs
+    no side underflows, so every draw is tested (e^(-y/2) is 0 in float64
+    beyond y of about 1,490). Where y/N rounds to 1 the left side is
+    log1p(-1) = -inf."""
     with np.errstate(divide="ignore"):
-        lhs = np.exp(0.5 * (n - k - m - 2) * np.log1p(-y / n))
-    return lhs - (np.exp(0.5 * (k + m + 2)) * np.exp(-0.5 * y) + 1e-12)
+        log_lhs = 0.5 * (n - k - m - 2) * np.log1p(-y / n)
+    return log_lhs - np.logaddexp(0.5 * (k + m + 2) - 0.5 * y, math.log(1e-12))
 
 
 @_check("dominating_bound")

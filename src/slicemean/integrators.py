@@ -105,19 +105,44 @@ def _require_lp(phi: TestFunction):
             "Gaussian; the limit theorem needs L^p for some p > 1, so it is refused")
 
 
-def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
-    u, lam = beta_radial_rule(geom.k, geom.exponent, n_radial)
+def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular):
+    """The passes (n, angular) for each n in ``radial_counts``, evaluated
+    together: they share their directions, so their nodes are one
+    (sum of n, directions, k) array built from one ``dirs @ C^T`` product, and
+    phi is called once. Returns the pass values in order, the node values
+    (the first pass's are the leading rows) and the evaluation count."""
+    rules = [beta_radial_rule(geom.k, geom.exponent, n) for n in radial_counts]
     dirs, omega = sphere_directions(geom.k, angular)
+    u = rules[0][0] if len(rules) == 1 else np.concatenate([u for u, _ in rules])
     r = geom.a_z * np.sqrt(u)
     # one (radial, direction, k) array, shifted in place: the node set is
     # several MB at refined counts, and each extra temporary of that size
     # is a fresh mmap with its page faults on every pass
-    x = r[:, None, None] * (dirs @ geom.chol.T)
-    x += geom.x0
+    offsets = dirs @ geom.chol.T
+    x = r[:, None, None] * offsets
+    if geom.k == 1:
+        x += geom.x0
+    else:
+        # numpy adds a k-entry shift to every node in an inner loop of k;
+        # shifting by a (direction, k) block runs one loop per radius
+        shift = np.empty_like(offsets)
+        shift[...] = geom.x0
+        x += shift
     vals = np.asarray(phi.eval(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFinite("integrand returned a non-finite value inside the slice")
-    return float(lam @ vals @ omega), u.size * omega.size
+    values = []
+    start = 0
+    for _, lam in rules:
+        values.append(float(lam @ vals[start:start + lam.size] @ omega))
+        start += lam.size
+    return values, vals, vals.size
+
+
+def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
+    """One pass: the (n_radial, angular) rule's value and evaluation count."""
+    (value,), _, n_evals = _quad_step(geom, phi, (n_radial,), angular)
+    return value, n_evals
 
 
 def slice_mean_quadrature(
@@ -139,6 +164,13 @@ def slice_mean_quadrature(
     is within the target. That axis's new check is the previous fine pass,
     and the other axis keeps its estimate. A result that stops with every
     eligible axis at its cap has converged False.
+
+    Each step evaluates each distinct node once. The first fine pass and
+    its radial check share their directions and are evaluated as one step;
+    at k = 2 the angular check is read from the fine values, because the
+    half-count circle points are every other fine point; at k = 3 (whose
+    Gauss-Legendre sets are not nested) it is a pass of its own. n_evals
+    counts the evaluations made, so a k = 2 result counts no angular check.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:
@@ -148,15 +180,20 @@ def slice_mean_quadrature(
         )
     counts = [_ANALYTIC_RADIAL_NODES if phi.analytic else _RADIAL_NODES, _ANGULAR_NODES]
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
-    value, total_evals = _quad_pass(geom, phi, *counts)
-    errs = [0.0, 0.0]
-    axes = (0,) if geom.k == 1 else (0, 1)
-    for axis in axes:
-        half = list(counts)
-        half[axis] //= 2
-        check, n_evals = _quad_pass(geom, phi, *half)
+    n_radial, angular = counts
+    (value, radial_check), vals, total_evals = _quad_step(
+        geom, phi, (n_radial, n_radial // 2), angular)
+    errs = [abs(value - radial_check), 0.0]
+    if geom.k == 2:
+        _, lam = beta_radial_rule(2, geom.exponent, n_radial)
+        _, omega = sphere_directions(2, angular // 2)
+        # contiguous, so the products run on the bytes a pass of its own has
+        errs[1] = abs(value - float(lam @ np.ascontiguousarray(vals[:n_radial, ::2]) @ omega))
+    elif geom.k == 3:
+        check, n_evals = _quad_pass(geom, phi, n_radial, angular // 2)
         total_evals += n_evals
-        errs[axis] = abs(value - check)
+        errs[1] = abs(value - check)
+    axes = (0,) if geom.k == 1 else (0, 1)
     while True:
         tol = cfg.target_rel_err * max(1.0, abs(value))
         converged = errs[0] + errs[1] <= tol

@@ -114,9 +114,11 @@ class StackedQR:
 
     def center(self, w) -> np.ndarray:
         """Minimal-norm solution of q x = w. Raises RankDeficient unless q has
-        full row rank: sigma_m / sigma_1 of R11 above DEFAULT_TOL."""
+        full row rank: sigma_m / sigma_1 of R11 above DEFAULT_TOL. A margin
+        above DEFAULT_TOL implies that, so R11 is factored only when the
+        margin fails."""
         r11 = self.r[: self.m, : self.m]
-        if _singular_ratio(r11) <= DEFAULT_TOL:
+        if self.margin <= DEFAULT_TOL and _singular_ratio(r11) <= DEFAULT_TOL:
             raise RankDeficient(f"rank < {self.m} on the first {len(self.u)} column(s) of Q")
         return self.u[:, : self.m] @ solve_lower(r11.T, w)
 

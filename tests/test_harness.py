@@ -391,9 +391,11 @@ class TestDominatingBound:
 
     @staticmethod
     def scalar(k, m, n, y):
-        # the bound as it reads, one draw at a time: (left, right) with the slack
-        lhs = math.exp(0.5 * (n - k - m - 2) * math.log1p(-y / n)) if y < n else 0.0
-        return lhs, math.exp(0.5 * (k + m + 2)) * math.exp(-0.5 * y) + 1e-12
+        # the bound in logs, one draw at a time: (log left, log of the right
+        # with the slack), so neither side underflows to 0
+        log_lhs = 0.5 * (n - k - m - 2) * math.log1p(-y / n) if y < n else -math.inf
+        a, b = 0.5 * (k + m + 2) - 0.5 * y, math.log(1e-12)
+        return log_lhs, max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
     def test_reports_ten_thousand_trials(self):
         (result,) = harness.run_verify({"verify": {"checks": ["dominating_bound"]}}).checks
@@ -406,14 +408,26 @@ class TestDominatingBound:
         draws = harness._bound_draws(ctx.rng(5))
         got = harness._bound_violations(*draws)
         assert got.shape == (10_000,)
-        # numpy's exp and log1p are not the C library's: a few draws in a
-        # thousand differ in the last bit of a side
+        # numpy's exp, log1p and logaddexp are not the C library's: a few
+        # draws in a thousand differ in the last bits of a side
         for violation, k, m, n, y in zip(got.tolist(), *(d.tolist() for d in draws)):
-            lhs, rhs = self.scalar(k, m, n, y)
-            assert abs(violation - (lhs - rhs)) <= 4 * sys.float_info.epsilon * (lhs + rhs)
+            log_lhs, log_rhs = self.scalar(k, m, n, y)
+            assert abs(violation - (log_lhs - log_rhs)) <= 8 * sys.float_info.epsilon * (
+                1.0 + abs(log_lhs) + abs(log_rhs))
         (result,) = harness.run_verify({"verify": {"checks": ["dominating_bound"]}},
                                        seed=seed).checks
         assert result.worst_violation == max(got.tolist())
+
+    @pytest.mark.parametrize("seed", [harness.DEFAULT_SEED, 1, 215])
+    def test_every_draw_is_tested(self, seed):
+        # with both sides in linear terms, e^(-y/2) and the left side
+        # underflow to 0 on more than half the draws, and the worst
+        # violation was the slack -1e-12 at every seed; in logs each draw
+        # reports how close it comes, and the closest is well inside
+        ctx = harness._Ctx(seed=seed, threads=1, mc_samples=1)
+        got = harness._bound_violations(*harness._bound_draws(ctx.rng(5)))
+        assert np.isfinite(got).all()
+        assert -2.0 < got.max() < -1.5
 
     def test_y_at_n_is_zero_on_the_left_without_a_warning(self):
         # y/N = 1 takes log1p(-1) = -inf; a RuntimeWarning would fail here
@@ -421,9 +435,9 @@ class TestDominatingBound:
         y = n.astype(float)
         got = harness._bound_violations(k, m, n, y)
         for violation, *draw in zip(got.tolist(), k.tolist(), m.tolist(), n.tolist(), y.tolist()):
-            lhs, rhs = self.scalar(*draw)
-            assert lhs == 0.0
-            assert abs(violation + rhs) <= 4 * sys.float_info.epsilon * rhs
+            log_lhs, _ = self.scalar(*draw)
+            assert log_lhs == -math.inf
+            assert violation == -math.inf
 
 
 class TestRunCounterexample:

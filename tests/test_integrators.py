@@ -58,7 +58,66 @@ def _wave_factor(geom, t):
     return math.fsum(terms)
 
 
+def _per_pass_reference(geom, phi, cfg):
+    """slice_mean_quadrature with one ``_quad_pass`` per rule: the first fine
+    pass, one check pass per axis with that axis's count halved, then one pass
+    per doubling. Returns (value, err_estimate, converged, evaluations)."""
+    counts = [8 if phi.analytic else 32, 64]
+    caps = (512, 256)
+    value, total = _quad_pass(geom, phi, *counts)
+    errs = [0.0, 0.0]
+    axes = (0,) if geom.k == 1 else (0, 1)
+    for axis in axes:
+        half = list(counts)
+        half[axis] //= 2
+        check, n_evals = _quad_pass(geom, phi, *half)
+        total += n_evals
+        errs[axis] = abs(value - check)
+    while True:
+        tol = cfg.target_rel_err * max(1.0, abs(value))
+        converged = errs[0] + errs[1] <= tol
+        missing = [] if converged else [
+            axis for axis in axes if counts[axis] < caps[axis]
+            and (errs[axis] > 0.5 * tol or errs[1 - axis] <= tol)]
+        if not missing:
+            return value, errs[0] + errs[1], converged, total
+        axis = max(missing, key=errs.__getitem__)
+        counts[axis] *= 2
+        coarse = value
+        value, n_evals = _quad_pass(geom, phi, *counts)
+        total += n_evals
+        errs[axis] = abs(value - coarse)
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("k, m, s", [(1, 1, 20), (2, 2, 12), (3, 2, 14)])
+    def test_steps_match_the_per_pass_reference(self, k, m, s):
+        # a step evaluates the first fine pass and its radial check together,
+        # and at k = 2 reads the angular check from the fine values; each
+        # result must keep the bits of the pass-by-pass algorithm, analytic
+        # and kinked, below and above the support width
+        rng = np.random.default_rng(300 + k)
+        while True:
+            validated = validate(AffineProblem(
+                q=rng.standard_normal((m, s)), w0=0.3 * rng.standard_normal(m), k=k))
+            if validated.n_min < s - 2:
+                break
+        fns = [CosLinear(t=rng.standard_normal(k)), SinLinear(t=2.0 * rng.standard_normal(k)),
+               Monomial(alpha=(2,) + (1,) * (k - 1)),
+               IndicatorBall(center=0.3 * rng.standard_normal(k), radius=1.0),
+               BoundedCutoff(inner=CosLinear(t=1.5 * rng.standard_normal(k)), cap=0.5)]
+        for n in (validated.n_min + 1, s - 1, 4 * s):
+            geom = build_slice(validated, n)
+            for fn in fns:
+                for target in (1e-9, 1e-11):
+                    cfg = QuadConfig(target_rel_err=target)
+                    res = slice_mean_quadrature(geom, fn, cfg)
+                    value, err, converged, evals = _per_pass_reference(geom, fn, cfg)
+                    assert (res.value, res.err_estimate, res.converged) == (value, err, converged)
+                    # k = 2 evaluates no angular check: (radial nodes) x 32 fewer
+                    skipped = (8 if fn.analytic else 32) * 32 if k == 2 else 0
+                    assert res.n_evals == evals - skipped
+
     def test_constant_is_one(self, fix_b):
         res = slice_mean_quadrature(build_slice(fix_b, 64), Monomial(alpha=(0,)))
         assert abs(res.value - 1.0) < 1e-12
@@ -102,10 +161,12 @@ class TestQuadrature:
         # each axis is checked against its own count halved; an axis that
         # misses doubles, so its new check is the previous fine pass and no
         # pass is evaluated twice. This k = 3 cosine is analytic, so it starts
-        # at 8 radial nodes checked against 4. The direction estimate is the
-        # larger miss: the budget doubles first (64 -> 128 -> 256, its cap),
-        # keeping the radial estimate, and then the radial count doubles once
-        # (8 -> 16), checked against the (8, 256) pass that came before it
+        # at 8 radial nodes checked against 4, both on the same 64 directions
+        # and evaluated as one step of 12; the angular check has directions
+        # of its own. The direction estimate is the larger miss: the budget
+        # doubles first (64 -> 128 -> 256, its cap), keeping the radial
+        # estimate, and then the radial count doubles once (8 -> 16), checked
+        # against the (8, 256) pass that came before it
         validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         geom = build_slice(validated, 64)
         shapes = []
@@ -118,7 +179,7 @@ class TestQuadrature:
         fn = Counted(t=[0.8, -0.5, 0.3])
         res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
         # (radial nodes, directions); a k = 3 budget b gives round(sqrt(b))^2 directions
-        assert shapes == [(8, 64), (4, 64), (8, 36), (8, 121), (8, 256), (16, 256)]
+        assert shapes == [(12, 64), (8, 36), (8, 121), (8, 256), (16, 256)]
         assert res.n_evals == sum(r * d for r, d in shapes) == 8_168
         angular_check, _ = _quad_pass(geom, fn, 8, 128)
         previous, _ = _quad_pass(geom, fn, 8, 256)
@@ -133,7 +194,8 @@ class TestQuadrature:
         # two half-lines whatever the angular count: k = 1 takes no angular
         # check pass, and the kink of a ball refines the radial axis to its
         # cap of 512 nodes, each check the previous fine pass, then reports
-        # that it missed its target
+        # that it missed its target. The first fine pass (32) and its check
+        # (16) are evaluated as one step of 48
         shapes = []
 
         class Counted(IndicatorBall):
@@ -144,7 +206,7 @@ class TestQuadrature:
         geom = build_slice(fix_b, 64)
         fn = Counted(center=[0.2], radius=1.0)
         res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
-        assert shapes == [(n, 2) for n in (32, 16, 64, 128, 256, 512)]
+        assert shapes == [(n, 2) for n in (48, 64, 128, 256, 512)]
         fine, _ = _quad_pass(geom, fn, 512, 64)
         previous, _ = _quad_pass(geom, fn, 256, 64)
         assert res.value == fine
@@ -157,12 +219,14 @@ class TestQuadrature:
         # neither integrand is analytic, so both start at 32 radial nodes
         # checked against 16, and walk both axes to their caps; the values
         # are pinned to the bits of the radial rule whose nodes take one
-        # Newton step on its bidiagonal factor, and may not move by a bit
+        # Newton step on its bidiagonal factor, and may not move by a bit.
+        # The k = 2 count leaves out the (32, 32) angular check, which is
+        # read from the fine pass's values
         k3 = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
         validated, fn, pinned = {
             "bounded_cutoff_k2": (
                 fix_c, BoundedCutoff(inner=CosLinear(t=[1.5, -0.7]), cap=0.5),
-                (0.15028918160657956, 1.1986887407722246e-05, 262_144)),
+                (0.15028918160657956, 1.1986887407722246e-05, 261_120)),
             "indicator_ball_k3": (
                 k3, IndicatorBall(center=[0.3, -0.2, 0.1], radius=1.0),
                 (0.18071850858480604, 0.001898681118159301, 261_376)),

@@ -166,6 +166,32 @@ class TestStackedQRWork:
         assert qr.margin == first
         assert shapes == [(2, 2)]
 
+    def test_center_reuses_a_passed_margin(self, monkeypatch):
+        # a margin above the cutoff implies full row rank (interlacing), so
+        # R11 is factored only when the margin fails: build_slice and
+        # validate take one SVD where they took two
+        shapes = []
+        ratio_of = numlin._singular_ratio
+
+        def counted(r):
+            shapes.append(r.shape)
+            return ratio_of(r)
+
+        monkeypatch.setattr(numlin, "_singular_ratio", counted)
+        qr = StackedQR(np.array([[3.0, 4.0]]), 1)
+        qr.center(np.array([5.0]))
+        qr.gram_factor()
+        assert shapes == [(2, 2)]
+        shapes.clear()
+        validate(AffineProblem(q=[[3.0, 4.0]], w0=[5.0], k=1))
+        assert shapes == [(2, 2)]
+        shapes.clear()
+        # ker [1, 0] misses R^1, while [1, 0] has full row rank: the margin
+        # fails, R11 passes and the center stands
+        qr = StackedQR(np.array([[1.0, 0.0]]), 1)
+        assert qr.center(np.array([2.0])).tolist() == [2.0, 0.0]
+        assert shapes == [(2, 2), (1, 1)]
+
     def test_u_is_formed_only_for_center(self, monkeypatch):
         # ker Q_N misses R^1 for N < 7 (the row starts with a 1): after the
         # failed margin at N = 4 the scan reads N = 5 and 6 from R alone

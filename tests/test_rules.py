@@ -213,6 +213,14 @@ class TestSphereDirections:
         assert_allclose(w @ (pts[:, 0] * pts[:, 1]), 0.0, atol=1e-16)
         assert_allclose(w @ pts[:, 0] ** 2, 0.5, rtol=1e-13)
 
+    def test_k2_half_count_points_are_every_other_point(self):
+        # quadrature reads its k = 2 angular check from the fine pass's
+        # values at every other direction; that check is the half-count rule
+        # only while these are the same points, byte for byte
+        for n in range(8, 513, 2):
+            half = sphere_directions(2, n // 2)[0]
+            assert np.ascontiguousarray(sphere_directions(2, n)[0][::2]).tobytes() == half.tobytes()
+
     @pytest.mark.parametrize("budget", [36, 64, 100])
     def test_k3_moments(self, budget):
         pts, w = sphere_directions(3, budget)
