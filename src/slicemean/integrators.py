@@ -109,8 +109,8 @@ def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular):
     """The passes (n, angular) for each n in ``radial_counts``, evaluated
     together: they share their directions, so their nodes are one
     (sum of n, directions, k) array built from one ``dirs @ C^T`` product, and
-    phi is called once. Returns the pass values in order, the node values
-    (the first pass's are the leading rows) and the evaluation count."""
+    phi is called once. Returns the pass values in order and the node
+    values, the first pass's in the leading rows."""
     rules = [beta_radial_rule(geom.k, geom.exponent, n) for n in radial_counts]
     dirs, omega = sphere_directions(geom.k, angular)
     u = rules[0][0] if len(rules) == 1 else np.concatenate([u for u, _ in rules])
@@ -136,13 +136,13 @@ def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular):
     for _, lam in rules:
         values.append(float(lam @ vals[start:start + lam.size] @ omega))
         start += lam.size
-    return values, vals, vals.size
+    return values, vals
 
 
 def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
     """One pass: the (n_radial, angular) rule's value and evaluation count."""
-    (value,), _, n_evals = _quad_step(geom, phi, (n_radial,), angular)
-    return value, n_evals
+    (value,), vals = _quad_step(geom, phi, (n_radial,), angular)
+    return value, vals.size
 
 
 def slice_mean_quadrature(
@@ -181,8 +181,8 @@ def slice_mean_quadrature(
     counts = [_ANALYTIC_RADIAL_NODES if phi.analytic else _RADIAL_NODES, _ANGULAR_NODES]
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
     n_radial, angular = counts
-    (value, radial_check), vals, total_evals = _quad_step(
-        geom, phi, (n_radial, n_radial // 2), angular)
+    (value, radial_check), vals = _quad_step(geom, phi, (n_radial, n_radial // 2), angular)
+    total_evals = vals.size
     errs = [abs(value - radial_check), 0.0]
     if geom.k == 2:
         _, lam = beta_radial_rule(2, geom.exponent, n_radial)
