@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,10 +138,18 @@ class ValidatedProblem:
     def m(self) -> int:
         return self.problem.m
 
-    @property
+    @cached_property
     def z0_cyl(self) -> np.ndarray:
-        """First k coordinates of z0: the mean of the limiting Gaussian."""
-        return self.z0[: self.k]
+        """First k coordinates of z0, a read-only copy: the mean of the
+        limiting Gaussian, and the slice center's at every N >= width."""
+        x0 = self.z0[: self.k].copy()
+        x0.flags.writeable = False
+        return x0
+
+    @cached_property
+    def z0_norm_sq(self) -> float:
+        """|z0|^2, the slice center's squared norm at every N >= width."""
+        return float(self.z0 @ self.z0)
 
     @property
     def g(self) -> np.ndarray:

@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness, numlin
@@ -40,7 +41,10 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: most of its cost is the gettext
+    lookups behind its help strings, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="slicemean",
         description="Means of cylinder functions over affine slices of high-"
@@ -87,7 +91,7 @@ def cmd_validate(args) -> int:
                     "rank_q": problem.m,
                     "projection_onto": True,
                     "n_min": validated.n_min,
-                    "z0_norm_sq": float(z0 @ z0),
+                    "z0_norm_sq": validated.z0_norm_sq,
                     "tol": numlin.DEFAULT_TOL,
                     "rank_margin": validated.rank_margin,
                 },

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -63,6 +64,11 @@ class SweepRow:
     limit_value: float
     abs_error: float
     wall_ms: float
+
+
+#: A row's values in CSV_HEADER's column order, its field order; read from the
+#: fields, not copied as ``dataclasses.astuple`` copies them.
+_sweep_record = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRow)))
 
 
 @dataclass(frozen=True)
@@ -793,7 +799,7 @@ def sweep_csv(rows) -> str:
     """The sweep CSV: ``CSV_HEADER``, then one line per row."""
     if not rows:
         raise ValueError("no rows to emit")
-    return csv_text(CSV_HEADER, map(dataclasses.astuple, rows))
+    return csv_text(CSV_HEADER, map(_sweep_record, rows))
 
 
 def counterexample_csv(rows) -> str:

@@ -30,13 +30,16 @@ from numpy.random import Generator, Philox
 from .affine_model import ValidatedProblem, _is_count, _is_int
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
 from .numlin import _matmul
-from .rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
+from .rules import gauss_hermite_prob, sphere_directions, step_radii
 from .slice_geometry import SliceGeometry
 from .testfns import TestFunction
 
 #: Max elements drawn per RNG chunk inside a shard (memory bound only; the
 #: chunking depends on fixed quantities, never on thread count).
 _CHUNK_ELEMS = 1 << 22
+
+#: Rows of the block a chunk of sample points is shifted by (``_shift_rows``).
+_SHIFT_ROWS = 256
 
 #: Node counts of the first fine quadrature pass: radial nodes, and circle
 #: points for k = 2 or the direction budget for k = 3 (see
@@ -105,44 +108,81 @@ def _require_lp(phi: TestFunction):
             "Gaussian; the limit theorem needs L^p for some p > 1, so it is refused")
 
 
-def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular):
-    """The passes (n, angular) for each n in ``radial_counts``, evaluated
-    together: they share their directions, so their nodes are one
-    (sum of n, directions, k) array built from one ``dirs @ C^T`` product, and
-    phi is called once. Returns the pass values in order and the node
-    values, the first pass's in the leading rows."""
-    rules = [beta_radial_rule(geom.k, geom.exponent, n) for n in radial_counts]
-    dirs, omega = sphere_directions(geom.k, angular)
-    u = rules[0][0] if len(rules) == 1 else np.concatenate([u for u, _ in rules])
-    r = geom.a_z * np.sqrt(u)
-    # one (radial, direction, k) array, shifted in place: the node set is
-    # several MB at refined counts, and each extra temporary of that size
-    # is a fresh mmap with its page faults on every pass
+def _place(geom: SliceGeometry, r, dirs, out):
+    """Write the nodes x0 + r_i C d_j for the radii r and directions d into
+    ``out``, an (r.size, directions, k) array, and return it. The nodes are
+    built in place: the node set is several MB at refined counts, and each
+    extra temporary of that size is a fresh mmap with its page faults."""
     offsets = dirs @ geom.chol.T
-    x = r[:, None, None] * offsets
+    np.multiply(r[:, None, None], offsets, out=out)
     if geom.k == 1:
-        x += geom.x0
+        out += geom.x0
     else:
         # numpy adds a k-entry shift to every node in an inner loop of k;
         # shifting by a (direction, k) block runs one loop per radius
         shift = np.empty_like(offsets)
         shift[...] = geom.x0
-        x += shift
-    vals = np.asarray(phi.eval(x), dtype=float)
-    if not np.isfinite(vals).all():
+        out += shift
+    return out
+
+
+def _require_finite(vals):
+    # any NaN or inf makes the sum of squares non-finite, so the element test
+    # runs only then, and finite values whose squares overflow pass it. np.vdot
+    # reports no floating-point warnings, where a sum would warn on overflow
+    # and on inf - inf
+    if not math.isfinite(np.vdot(vals, vals)) and not np.isfinite(vals).all():
         raise NonFinite("integrand returned a non-finite value inside the slice")
+
+
+def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular,
+               angular_check=False):
+    """The passes (n, angular) for each n in ``radial_counts``, from one call
+    of phi: they share their directions, so their nodes are one
+    (sum of n, directions, k) array built from one ``dirs @ C^T`` product.
+    With ``angular_check`` (k >= 2) the pass (radial_counts[0], angular // 2)
+    comes last: at k = 2 it is read from the first pass's values, because
+    the half-count circle points are every other point; at k = 3 its nodes
+    go into the same call, both blocks written into one flat (points, k)
+    buffer, each built and shifted as a block of its own and each pass
+    reduced from its own reshaped block. Returns the pass values in order
+    and the number of points evaluated."""
+    root_u, lams = step_radii(geom.k, geom.exponent, radial_counts)
+    r = geom.a_z * root_u
+    dirs, omega = sphere_directions(geom.k, angular)
+    shape = (r.size, omega.size, geom.k)
+    check_nodes = angular_check and geom.k == 3
+    if check_nodes:
+        n = lams[0].size
+        check_dirs, check_omega = sphere_directions(3, angular // 2)
+        split = r.size * omega.size
+        x = np.empty((split + n * check_omega.size, 3))
+        _place(geom, r, dirs, x[:split].reshape(shape))
+        _place(geom, r[:n], check_dirs, x[split:].reshape(n, check_omega.size, 3))
+    else:
+        x = _place(geom, r, dirs, np.empty(shape))
+    vals = np.asarray(phi.eval(x), dtype=float)
+    _require_finite(vals)
+    fine = vals[:split].reshape(shape[:2]) if check_nodes else vals
     values = []
     start = 0
-    for _, lam in rules:
-        values.append(float(lam @ vals[start:start + lam.size] @ omega))
+    for lam in lams:
+        values.append(float(lam @ fine[start:start + lam.size] @ omega))
         start += lam.size
-    return values, vals
+    if check_nodes:
+        values.append(float(lams[0] @ vals[split:].reshape(n, -1) @ check_omega))
+    elif angular_check:
+        _, check_omega = sphere_directions(2, angular // 2)
+        # contiguous, so the products run on the bytes a pass of its own has
+        n = lams[0].size
+        values.append(float(lams[0] @ np.ascontiguousarray(vals[:n, ::2]) @ check_omega))
+    return values, vals.size
 
 
 def _quad_pass(geom: SliceGeometry, phi: TestFunction, n_radial, angular):
     """One pass: the (n_radial, angular) rule's value and evaluation count."""
-    (value,), vals = _quad_step(geom, phi, (n_radial,), angular)
-    return value, vals.size
+    (value,), n_evals = _quad_step(geom, phi, (n_radial,), angular)
+    return value, n_evals
 
 
 def slice_mean_quadrature(
@@ -165,12 +205,14 @@ def slice_mean_quadrature(
     and the other axis keeps its estimate. A result that stops with every
     eligible axis at its cap has converged False.
 
-    Each step evaluates each distinct node once. The first fine pass and
-    its radial check share their directions and are evaluated as one step;
-    at k = 2 the angular check is read from the fine values, because the
-    half-count circle points are every other fine point; at k = 3 (whose
-    Gauss-Legendre sets are not nested) it is a pass of its own. n_evals
-    counts the evaluations made, so a k = 2 result counts no angular check.
+    Each step evaluates each distinct node once, with one call of phi. The
+    first fine pass and its checks are one step: the radial check shares
+    the fine directions; at k = 2 the angular check is read from the fine
+    values, because the half-count circle points are every other fine
+    point; at k = 3 (whose Gauss-Legendre sets are not nested) its nodes
+    are evaluated in the same call. n_evals counts the evaluations made, so
+    a k = 2 result counts no angular check. A step's radii come from the
+    ``rules.step_radii`` memo.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:
@@ -179,30 +221,28 @@ def slice_mean_quadrature(
             "slice_mean_mc has no k limit, and `slicemean limit` gives the Gaussian limit"
         )
     counts = [_ANALYTIC_RADIAL_NODES if phi.analytic else _RADIAL_NODES, _ANGULAR_NODES]
+    n_radial = counts[0]
+    if geom.k == 1:
+        (value, radial_check), total_evals = _quad_step(
+            geom, phi, (n_radial, n_radial // 2), _ANGULAR_NODES)
+        errs = [abs(value - radial_check), 0.0]
+        axes = (0,)
+    else:
+        (value, radial_check, angular_check), total_evals = _quad_step(
+            geom, phi, (n_radial, n_radial // 2), _ANGULAR_NODES, angular_check=True)
+        errs = [abs(value - radial_check), abs(value - angular_check)]
+        axes = (0, 1)
     caps = (_RADIAL_CAP, _ANGULAR_CAP)
-    n_radial, angular = counts
-    (value, radial_check), vals = _quad_step(geom, phi, (n_radial, n_radial // 2), angular)
-    total_evals = vals.size
-    errs = [abs(value - radial_check), 0.0]
-    if geom.k == 2:
-        _, lam = beta_radial_rule(2, geom.exponent, n_radial)
-        _, omega = sphere_directions(2, angular // 2)
-        # contiguous, so the products run on the bytes a pass of its own has
-        errs[1] = abs(value - float(lam @ np.ascontiguousarray(vals[:n_radial, ::2]) @ omega))
-    elif geom.k == 3:
-        check, n_evals = _quad_pass(geom, phi, n_radial, angular // 2)
-        total_evals += n_evals
-        errs[1] = abs(value - check)
-    axes = (0,) if geom.k == 1 else (0, 1)
     while True:
         tol = cfg.target_rel_err * max(1.0, abs(value))
         converged = errs[0] + errs[1] <= tol
+        if converged:
+            break
         # an axis refines while its own estimate is above half the target, or
         # while the other axis's estimate alone is within it (so a sum that
         # misses with one axis at its cap does not strand the other)
-        missing = [] if converged else [
-            axis for axis in axes if counts[axis] < caps[axis]
-            and (errs[axis] > 0.5 * tol or errs[1 - axis] <= tol)]
+        missing = [axis for axis in axes if counts[axis] < caps[axis]
+                   and (errs[axis] > 0.5 * tol or errs[1 - axis] <= tol)]
         if not missing:
             break
         axis = max(missing, key=errs.__getitem__)
@@ -264,6 +304,26 @@ def _mc_shard(seed, shard_index, size, k, draw, phi):
     return total, total_sq
 
 
+def _shift_rows(x, mu):
+    """x += mu for a C-contiguous (b, k) array x, in place, with the same
+    bytes. numpy adds a k-entry vector to every row in an inner loop of k;
+    at k >= 2 and more than _SHIFT_ROWS rows, the rows are shifted by a
+    (_SHIFT_ROWS, k) block of copies of mu, one loop over the block's
+    entries per block, and the last b mod _SHIFT_ROWS rows by the block's
+    leading rows."""
+    b, k = x.shape
+    if k == 1 or b <= _SHIFT_ROWS:
+        x += mu
+        return x
+    block = np.empty((_SHIFT_ROWS, k))
+    block[...] = mu
+    full = b - b % _SHIFT_ROWS
+    body = x[:full].reshape(-1, _SHIFT_ROWS, k)
+    body += block
+    x[full:] += block[:b - full]
+    return x
+
+
 def _reduce_moments(moments, n: int):
     # Shard partials are combined in shard order; the summation order is part
     # of the determinism contract.
@@ -310,8 +370,7 @@ def slice_mean_mc(
         np.divide(geom.a_z, scale, out=scale)
         x = _matmul(z, geom.chol.T)
         x *= scale[:, None]
-        x += geom.x0
-        return x
+        return _shift_rows(x, geom.x0)
 
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     moments = _ordered_map(
@@ -361,9 +420,7 @@ def _gaussian_mc(mu, chol, phi, cfg: McConfig):
     k = mu.size
 
     def draw(rng, b):
-        x = _matmul(rng.standard_normal((b, k)), chol.T)
-        x += mu
-        return x
+        return _shift_rows(_matmul(rng.standard_normal((b, k)), chol.T), mu)
 
     sizes = _shard_sizes(cfg.n_samples, cfg.shard_size)
     moments = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ class SliceGeometry:
 
     ``x0`` is the first k coordinates of the slice center, the closest
     point of the width-N truncation (``affine_model.least_norm_center``);
+    at N >= width it is the validated problem's read-only ``z0_cyl``;
     ``a_z`` is the slice radius. ``log_prefactor`` is the log of the
     constant multiplying the whitened k-dimensional integral; it tends to
     -(k/2) ln(2 pi) as N grows. ``chol`` is C, the lower-triangular Cholesky
@@ -52,12 +54,18 @@ class SliceGeometry:
     chol: np.ndarray
 
 
+#: Entries of the surface-ratio memo: a few (problem, N) pairs' worth each.
+_SURFACE_RATIOS = 1024
+
+
+@lru_cache(maxsize=_SURFACE_RATIOS)
+def _log_surface_ratio(j: int, k: int) -> float:
+    # ln |S^(j-k)| - ln |S^j|: two lgammas, taken once per (N - m, k)
+    return log_surface_constant(j - k) - log_surface_constant(j)
+
+
 def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
-    return (
-        log_surface_constant(d - k - m)
-        - log_surface_constant(d - m)
-        - k * math.log(a_z)
-    )
+    return _log_surface_ratio(d - m, k) - k * math.log(a_z)
 
 
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
@@ -83,11 +91,12 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
         # n_min >= k + m + 2, so the message holds
         raise BelowMinN(f"N = {n} < n_min = {validated.n_min}")
     qr = None
-    z0n = validated.z0
     if n < problem.width:
         qr = numlin.StackedQR(truncated_matrix(problem, n), k)
         z0n = qr.center(problem.w0)
-    center_sq = float(z0n @ z0n)
+        x0, center_sq = z0n[:k].copy(), float(z0n @ z0n)
+    else:
+        x0, center_sq = validated.z0_cyl, validated.z0_norm_sq
     if n <= center_sq:
         raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
     chol = validated.chol if qr is None else qr.gram_factor()
@@ -98,7 +107,7 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
         n=n,
         m=m,
         k=k,
-        x0=z0n[:k].copy(),
+        x0=x0,
         a_z=a_z,
         exponent=exponent,
         log_prefactor=_log_prefactor(d, k, m, a_z),

@@ -108,12 +108,19 @@ class Monomial(TestFunction):
         return sum(self.alpha)
 
     def eval(self, x):
+        # the product of the active coordinates' powers, with the bits of
+        # 1.0 * x_1**a_1 * x_2**a_2 ...: 1.0 * p and x**1 are exact
         x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
+        out = None
         for i, a in enumerate(self.alpha):
             if a:
-                out *= x[..., i] ** a
-        return out
+                power = x[..., i] if a == 1 else x[..., i] ** a
+                if out is None:
+                    # a new array, 0-d for a single point
+                    out = np.array(power)
+                else:
+                    out *= power
+        return np.ones(x.shape[:-1]) if out is None else out
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,30 @@ def test_thread_count_below_one_is_a_usage_error(tmp_path, capsys, command, thre
     assert "argument --threads: must be at least 1" in capsys.readouterr().err
 
 
+def test_main_calls_in_one_process_match_separate_runs(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; calls with different subcommands,
+    # a usage error and --help among them, give what separate processes give
+    monkeypatch.setenv("COLUMNS", "80")
+    config = write_config(tmp_path)
+    calls = [
+        ["slice", "--n", "64", "--config", config],
+        ["validate", "--config", config],
+        ["slice", "--threads", "2", "--config", config],
+        ["counterexample", "--config", config],
+        ["limit", "--config", config, "--seed", "5"],
+        ["slice", "--help"],
+    ]
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = run_cli(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestSliceAndLimit:
     def test_slice(self, tmp_path):
         proc = run_cli("slice", "--n", "64", "--config", write_config(tmp_path))

@@ -244,6 +244,13 @@ class TestEmission:
             assert float(fields[1]) == row.quad_value
             assert float(fields[6]) == row.abs_error
 
+    def test_csv_bytes_are_those_of_the_row_tuples(self):
+        rows, _ = harness.run_sweep(config())
+        rows.append(dataclasses.replace(rows[0], n=np.int64(7), quad_value=np.float64(-0.0),
+                                        wall_ms=1e-300))
+        want = harness.csv_text(harness.CSV_HEADER, map(dataclasses.astuple, rows))
+        assert harness.sweep_csv(rows) == want
+
     def test_csv_refuses_empty(self):
         with pytest.raises(ValueError):
             harness.sweep_csv([])

@@ -31,7 +31,8 @@ from slicemean import (
     validate,
 )
 from slicemean.affine_model import truncated_matrix
-from slicemean.integrators import _gaussian_mc, _ordered_map, _quad_pass, _shard_rng
+from slicemean.integrators import _gaussian_mc, _ordered_map, _quad_pass, _shard_rng, _shift_rows
+from slicemean.rules import beta_radial_rule
 
 
 def _full_basis_mc(validated, geom, phi, n_samples, seed):
@@ -161,9 +162,10 @@ class TestQuadrature:
         # each axis is checked against its own count halved; an axis that
         # misses doubles, so its new check is the previous fine pass and no
         # pass is evaluated twice. This k = 3 cosine is analytic, so it starts
-        # at 8 radial nodes checked against 4, both on the same 64 directions
-        # and evaluated as one step of 12; the angular check has directions
-        # of its own. The direction estimate is the larger miss: the budget
+        # at 8 radial nodes checked against 4, both on the same 64 directions,
+        # and its angular check (8 radial nodes on 36 directions of their
+        # own) is evaluated in the same call: one flat step of 12 x 64 + 8 x 36
+        # points. The direction estimate is the larger miss: the budget
         # doubles first (64 -> 128 -> 256, its cap), keeping the radial
         # estimate, and then the radial count doubles once (8 -> 16), checked
         # against the (8, 256) pass that came before it
@@ -179,8 +181,8 @@ class TestQuadrature:
         fn = Counted(t=[0.8, -0.5, 0.3])
         res = slice_mean_quadrature(geom, fn, QuadConfig(target_rel_err=1e-11))
         # (radial nodes, directions); a k = 3 budget b gives round(sqrt(b))^2 directions
-        assert shapes == [(12, 64), (8, 36), (8, 121), (8, 256), (16, 256)]
-        assert res.n_evals == sum(r * d for r, d in shapes) == 8_168
+        assert shapes == [(12 * 64 + 8 * 36,), (8, 121), (8, 256), (16, 256)]
+        assert res.n_evals == sum(math.prod(s) for s in shapes) == 8_168
         angular_check, _ = _quad_pass(geom, fn, 8, 128)
         previous, _ = _quad_pass(geom, fn, 8, 256)
         fine, _ = _quad_pass(geom, fn, 16, 256)
@@ -328,6 +330,63 @@ class TestQuadrature:
         with pytest.raises(NonFinite):
             slice_mean_quadrature(build_slice(fix_b, 16), Bad(alpha=(1,)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_nonfinite_node_of_the_first_step_raises(self, k, bad):
+        # the last point of the first step's one evaluation: at k = 3 a node
+        # of the angular check's block
+        validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=k))
+
+        class Bad(Monomial):
+            def eval(self, x):
+                vals = super().eval(x)
+                vals.reshape(-1)[-1] = bad
+                return vals
+
+        with pytest.raises(NonFinite, match="^integrand returned a non-finite value inside "
+                                            "the slice$"):
+            slice_mean_quadrature(build_slice(validated, 64), Bad(alpha=(1,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_node_of_zero_radial_weight_raises(self, fix_b, bad):
+        # at N = 10^6 the 512-node rule's outer weights underflow to exactly 0,
+        # so a weighted sum would not see the value; the finiteness test does
+        geom = build_slice(fix_b, 10**6)
+        _, lam = beta_radial_rule(1, geom.exponent, 512)
+        node = int(np.flatnonzero(lam == 0.0)[0])
+
+        class Bad(Monomial):
+            def eval(self, x):
+                vals = super().eval(x)
+                vals[node, 0] = bad
+                return vals
+
+        with pytest.raises(NonFinite, match="^integrand returned a non-finite value inside "
+                                            "the slice$"):
+            _quad_pass(geom, Bad(alpha=(1,)), 512, 64)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_finite_values_whose_sum_overflows_do_not_raise(self, k):
+        # nor warn: the suite turns warnings into errors
+        validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=k))
+
+        class Huge(Monomial):
+            def eval(self, x):
+                return np.full(np.shape(x)[:-1], 1e308)
+
+        res = slice_mean_quadrature(build_slice(validated, 64), Huge(alpha=()))
+        assert res.value == pytest.approx(1e308, rel=1e-12) and math.isfinite(res.value)
+
+    def test_plus_and_minus_inf_raise_without_a_warning(self, fix_b):
+        class Bad(Monomial):
+            def eval(self, x):
+                vals = super().eval(x)
+                vals[0, 0], vals[-1, -1] = np.inf, -np.inf
+                return vals
+
+        with pytest.raises(NonFinite, match="inside the slice"):
+            slice_mean_quadrature(build_slice(fix_b, 64), Bad(alpha=(1,)))
+
     def test_quad_config_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(target_rel_err=0.5)
@@ -438,6 +497,16 @@ class TestMonteCarlo:
         geom = build_slice(validated, 64)
         res = slice_mean_mc(geom, Monomial(alpha=(0,) * 5), McConfig(1000, seed=6))
         assert res.value == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("b", [1, 255, 256, 257, 1000, 65536])
+def test_shift_rows_keeps_the_bytes_of_a_broadcast_add(k, b):
+    rng = np.random.default_rng(b + k)
+    x, mu = rng.standard_normal((b, k)), rng.standard_normal(k)
+    want = x + mu
+    got = _shift_rows(x, mu)
+    assert got is x and got.tobytes() == want.tobytes()
 
 
 class TestOrderedMap:

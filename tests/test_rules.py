@@ -24,7 +24,7 @@ from slicemean import (
 )
 from slicemean.rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
 
-MEMOS = (rules._beta_radial_rule, rules._sphere_directions)
+MEMOS = (rules._beta_radial_rule, rules._sphere_directions, rules._step_radii)
 
 
 def beta_moment(k, exponent, p):
@@ -275,6 +275,26 @@ class TestMemo:
         info = rules._beta_radial_rule.cache_info()
         assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
+    @pytest.mark.parametrize("counts", [(8,), (8, 4), (32, 16), (512,)])
+    def test_step_radii_are_the_rules_read_only_roots(self, counts):
+        root, weights = rules.step_radii(2, 333.25, counts)
+        built = [beta_radial_rule(2, 333.25, n) for n in counts]
+        assert root.tobytes() == np.sqrt(np.concatenate([u for u, _ in built])).tobytes()
+        assert all(w is b for w, (_, b) in zip(weights, built, strict=True))
+        assert rules.step_radii(2, 333.25, counts)[0] is root
+        for a in (root, *weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    def test_step_radii_stay_within_cap(self):
+        try:
+            for i in range(2 * rules._STEP_RADII):
+                rules.step_radii(1, 0.5 + i, (2, 1))
+            assert rules._step_radii.cache_info().currsize == rules._STEP_RADII
+        finally:
+            rules._step_radii.cache_clear()
+            rules._beta_radial_rule.cache_clear()
+
     def test_distinct_exponents_stay_within_cap(self):
         try:
             for i in range(10_000):
@@ -348,7 +368,7 @@ class TestMemo:
 
     @pytest.mark.parametrize(
         "name",
-        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob"],
+        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob", "step_radii"],
     )
     def test_public_names_stay_plain_functions(self, name):
         # the benchmark's tracer wraps only plain functions; a cache object

@@ -26,6 +26,28 @@ class TestEval:
     def test_monomial(self):
         assert Monomial(alpha=(2,)).eval(np.array([3.0])) == 9.0
 
+    @pytest.mark.parametrize("alpha", [(), (0,), (1,), (2,), (0, 0), (1, 1), (0, 2), (2, 1),
+                                       (1, 0, 2), (2, 2, 2), (0, 1, 0)])
+    def test_monomial_keeps_the_bytes_of_the_product_of_powers(self, alpha):
+        # the reference is the formula 1.0 * x_1**a_1 * x_2**a_2 ... over all
+        # exponents, zero ones included, on entries with zeros of both signs
+        entries = np.array([0.0, -0.0, 1.5, -2.25, 3.0, -0.1, 7.0, -1e-3])
+        rng = np.random.default_rng(len(alpha) + sum(alpha))
+        k = max(len(alpha), 1)
+        fn = Monomial(alpha=alpha)
+
+        def reference(x):
+            out = np.ones(x.shape[:-1])
+            for i, a in enumerate(alpha):
+                out *= x[..., i] ** a
+            return out
+
+        for shape in [(k,), (9, k), (4, 6, k)]:
+            x = rng.choice(entries, size=shape)
+            got, want = fn.eval(x), reference(x)
+            assert isinstance(got, np.ndarray) and got.shape == shape[:-1]
+            assert got.tobytes() == want.tobytes()
+
     def test_counterexample_value(self):
         # direct evaluation: e^{1/2} / 2
         got = CounterexampleG().eval(np.array([1.0]))
