@@ -119,6 +119,9 @@ class ValidatedProblem:
     with positive diagonal, of the Gram matrix G at the width: the covariance
     of the limiting Gaussian, and the per-N factor for every N >= width.
     ``rank_margin`` is the stacked sigma_(m+k) / sigma_1 at min(n_min, width).
+    ``z0`` and ``chol`` are read-only: the cached ``z0_cyl`` and
+    ``z0_norm_sq`` and the slices ``build_slice`` keeps in the private
+    ``_slices`` (by N) are computed from them once.
     """
 
     problem: AffineProblem
@@ -126,8 +129,10 @@ class ValidatedProblem:
     n_min: int
     chol: np.ndarray = field(repr=False)
     rank_margin: float
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.z0.flags.writeable = False
         self.chol.flags.writeable = False
 
     @property

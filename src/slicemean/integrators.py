@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +54,14 @@ _ANALYTIC_RADIAL_NODES = 8
 _ANGULAR_NODES = 64
 _RADIAL_CAP = 512
 _ANGULAR_CAP = 256
+
+#: Floats of placed nodes each geometry keeps (``_step_nodes``), 512 KB: all
+#: three steps of an analytic k = 3 request that refines its directions
+#: twice (12,216 floats), or a kinked k = 3 first step (12,672).
+_STEP_FLOATS = 1 << 16
+
+#: Guards the node sets' budget: threads may share a geometry.
+_STEPS_LOCK = threading.Lock()
 
 #: Largest |z| the counterexample probe takes. Up to it exp(z x - z^2/2) is
 #: formed to about 1e-10 relative, and a pass needs at most about z^2/48
@@ -126,33 +135,32 @@ def _place(geom: SliceGeometry, r, dirs, out):
     return out
 
 
-def _require_finite(vals):
+def _require_finite(vals, message):
     # any NaN or inf makes the sum of squares non-finite, so the element test
     # runs only then, and finite values whose squares overflow pass it. np.vdot
     # reports no floating-point warnings, where a sum would warn on overflow
     # and on inf - inf
     if not math.isfinite(np.vdot(vals, vals)) and not np.isfinite(vals).all():
-        raise NonFinite("integrand returned a non-finite value inside the slice")
+        raise NonFinite(message)
 
 
-def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular,
-               angular_check=False):
-    """The passes (n, angular) for each n in ``radial_counts``, from one call
-    of phi: they share their directions, so their nodes are one
-    (sum of n, directions, k) array built from one ``dirs @ C^T`` product.
-    With ``angular_check`` (k >= 2) the pass (radial_counts[0], angular // 2)
-    comes last: at k = 2 it is read from the first pass's values, because
-    the half-count circle points are every other point; at k = 3 its nodes
-    go into the same call, both blocks written into one flat (points, k)
-    buffer, each built and shifted as a block of its own and each pass
-    reduced from its own reshaped block. Returns the pass values in order
-    and the number of points evaluated."""
+def _step_nodes(geom: SliceGeometry, radial_counts, angular, angular_check):
+    """The nodes of one quadrature step and the weights that reduce its
+    values: (x, lams, omega, check_omega), check_omega None unless the step
+    evaluates a k = 3 angular check. ``x`` is read-only and kept in the
+    geometry's ``_steps``, by (radial_counts, angular, angular_check), while
+    the steps kept there total at most _STEP_FLOATS floats; nodes are placed
+    only for a step not kept."""
+    key = (radial_counts, angular, angular_check)
+    step = geom._steps.get(key)
+    if step is not None:
+        return step
     root_u, lams = step_radii(geom.k, geom.exponent, radial_counts)
     r = geom.a_z * root_u
     dirs, omega = sphere_directions(geom.k, angular)
     shape = (r.size, omega.size, geom.k)
-    check_nodes = angular_check and geom.k == 3
-    if check_nodes:
+    check_omega = None
+    if angular_check and geom.k == 3:
         n = lams[0].size
         check_dirs, check_omega = sphere_directions(3, angular // 2)
         split = r.size * omega.size
@@ -161,20 +169,48 @@ def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular,
         _place(geom, r[:n], check_dirs, x[split:].reshape(n, check_omega.size, 3))
     else:
         x = _place(geom, r, dirs, np.empty(shape))
+    x.flags.writeable = False
+    step = (x, lams, omega, check_omega)
+    steps = geom._steps
+    with _STEPS_LOCK:
+        if key not in steps and sum(s[0].size for s in steps.values()) + x.size <= _STEP_FLOATS:
+            steps[key] = step
+    return step
+
+
+def _quad_step(geom: SliceGeometry, phi: TestFunction, radial_counts, angular,
+               angular_check=False):
+    """The passes (n, angular) for each n in ``radial_counts`` (a tuple),
+    from one call of phi: they share their directions, so their nodes are
+    one (sum of n, directions, k) array built from one ``dirs @ C^T``
+    product. With ``angular_check`` (k >= 2) the pass (radial_counts[0],
+    angular // 2) comes last: at k = 2 it is read from the first pass's
+    values, because the half-count circle points are every other point; at
+    k = 3 its nodes go into the same call, both blocks written into one flat
+    (points, k) buffer, each built and shifted as a block of its own and
+    each pass reduced from its own reshaped block. The nodes come from
+    ``_step_nodes``, so a step repeated on one geometry (another function
+    on a shared slice) places none: phi gets the kept read-only array.
+    Returns the pass values in order and the number of points evaluated."""
+    x, lams, omega, check_omega = _step_nodes(geom, radial_counts, angular, angular_check)
     vals = np.asarray(phi.eval(x), dtype=float)
-    _require_finite(vals)
-    fine = vals[:split].reshape(shape[:2]) if check_nodes else vals
+    _require_finite(vals, "integrand returned a non-finite value inside the slice")
+    n = lams[0].size
+    if check_omega is None:
+        fine = vals
+    else:
+        split = vals.size - n * check_omega.size
+        fine = vals[:split].reshape(-1, omega.size)
     values = []
     start = 0
     for lam in lams:
         values.append(float(lam @ fine[start:start + lam.size] @ omega))
         start += lam.size
-    if check_nodes:
+    if check_omega is not None:
         values.append(float(lams[0] @ vals[split:].reshape(n, -1) @ check_omega))
     elif angular_check:
         _, check_omega = sphere_directions(2, angular // 2)
         # contiguous, so the products run on the bytes a pass of its own has
-        n = lams[0].size
         values.append(float(lams[0] @ np.ascontiguousarray(vals[:n, ::2]) @ check_omega))
     return values, vals.size
 
@@ -212,7 +248,9 @@ def slice_mean_quadrature(
     point; at k = 3 (whose Gauss-Legendre sets are not nested) its nodes
     are evaluated in the same call. n_evals counts the evaluations made, so
     a k = 2 result counts no angular check. A step's radii come from the
-    ``rules.step_radii`` memo.
+    ``rules.step_radii`` memo, and its nodes are placed once per geometry
+    (``_step_nodes``), so a request on a shared slice places only the
+    steps no earlier request kept there.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:
@@ -293,8 +331,7 @@ def _mc_shard(seed, shard_index, size, k, draw, phi):
     while done < size:
         b = min(chunk, size - done)
         vals = np.asarray(phi.eval(draw(rng, b)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("integrand returned a non-finite value at a sample")
+        _require_finite(vals, "integrand returned a non-finite value at a sample")
         total += float(vals.sum())
         vals *= vals
         total_sq += float(vals.sum())
@@ -392,8 +429,7 @@ def _gauss_hermite_limit(mu, chol, phi):
             wts = wts * wg.reshape(-1)
         x = mu + pts @ chol.T
         vals = np.asarray(phi.eval(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFinite("integrand returned a non-finite value")
+        _require_finite(vals, "integrand returned a non-finite value")
         return float(wts @ vals), pts.shape[0]
 
     value, n1 = tensor_value(64)

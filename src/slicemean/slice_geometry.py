@@ -15,13 +15,17 @@ Whitening uses the Cholesky factor C of G, the leading k x k block of the
 projector onto ker Q_N. For N >= width that projector is diag(P_w, I), so
 C is the one ``validate`` took at the width; below it, one thin QR of Q_N
 (``numlin.StackedQR``) gives C and the center.
+
+The slice at N depends on the validated problem and N alone, so
+``build_slice`` builds it once: each ``ValidatedProblem`` keeps its last
+_SLICES geometries, keyed by N, and a repeated N returns the same object.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +45,13 @@ class SliceGeometry:
     ``a_z`` is the slice radius. ``log_prefactor`` is the log of the
     constant multiplying the whitened k-dimensional integral; it tends to
     -(k/2) ln(2 pi) as N grows. ``chol`` is C, the lower-triangular Cholesky
-    factor, with positive diagonal, of the Gram matrix G at this N.
+    factor, with positive diagonal, of the Gram matrix G at this N. Both
+    arrays are read-only.
+
+    A geometry is shared: ``build_slice`` returns the same object for a
+    repeated (problem, N). Quadrature keeps the placed nodes of its steps in
+    the private ``_steps`` (see ``integrators._quad_step``), so a geometry
+    made by ``dataclasses.replace`` starts with none of its source's nodes.
     """
 
     n: int
@@ -52,20 +62,21 @@ class SliceGeometry:
     exponent: float
     log_prefactor: float
     chol: np.ndarray
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-#: Entries of the surface-ratio memo: a few (problem, N) pairs' worth each.
-_SURFACE_RATIOS = 1024
+#: Geometries each validated problem keeps, the oldest dropped first. The
+#: ``slice_batch`` benchmark deck asks for 6 N per problem.
+_SLICES = 16
 
-
-@lru_cache(maxsize=_SURFACE_RATIOS)
-def _log_surface_ratio(j: int, k: int) -> float:
-    # ln |S^(j-k)| - ln |S^j|: two lgammas, taken once per (N - m, k)
-    return log_surface_constant(j - k) - log_surface_constant(j)
+#: Guards insertion into and eviction from every problem's memo: sweep rows
+#: build slices from worker threads.
+_SLICES_LOCK = threading.Lock()
 
 
 def _log_prefactor(d: int, k: int, m: int, a_z: float) -> float:
-    return _log_surface_ratio(d - m, k) - k * math.log(a_z)
+    # ln |S^(d-m-k)| - ln |S^(d-m)| - k ln a
+    return log_surface_constant(d - m - k) - log_surface_constant(d - m) - k * math.log(a_z)
 
 
 def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
@@ -81,8 +92,29 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     come from the QR's own ``center`` and ``gram_factor``. ``validated.n_min``
     is not enforced here (BelowMinN only quotes it): every n below it fails
     one of these rules.
+
+    A built geometry is kept on ``validated`` (its last _SLICES, by n) and
+    returned again for a repeated n, so a repeat takes no QR; a refusal is
+    not kept, and a repeated bad n raises again, with the same error. Two
+    threads that miss on one n both build it, and both get the geometry
+    that was kept first.
     """
     n = int(n)
+    memo = validated._slices
+    kept = memo.get(n)
+    if kept is not None:
+        return kept
+    geom = _build_slice(validated, n)
+    with _SLICES_LOCK:
+        kept = memo.get(n)
+        if kept is None:
+            if len(memo) >= _SLICES:
+                del memo[next(iter(memo))]
+            memo[n] = kept = geom
+    return kept
+
+
+def _build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
     if n > _MAX_COUNT:
         raise Infeasible(f"N = {n} exceeds 2**53, the largest supported N")
     problem = validated.problem
@@ -95,11 +127,16 @@ def build_slice(validated: ValidatedProblem, n: int) -> SliceGeometry:
         qr = numlin.StackedQR(truncated_matrix(problem, n), k)
         z0n = qr.center(problem.w0)
         x0, center_sq = z0n[:k].copy(), float(z0n @ z0n)
+        x0.flags.writeable = False
     else:
         x0, center_sq = validated.z0_cyl, validated.z0_norm_sq
     if n <= center_sq:
         raise SliceEmpty(f"N = {n} <= |z0_N|^2 = {center_sq:g}: empty slice")
-    chol = validated.chol if qr is None else qr.gram_factor()
+    if qr is None:
+        chol = validated.chol
+    else:
+        chol = qr.gram_factor()
+        chol.flags.writeable = False
     d = n - 1
     a_z = math.sqrt(n - center_sq)
     exponent = 0.5 * (d - k - m - 1)

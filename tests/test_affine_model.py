@@ -227,6 +227,16 @@ class TestClosestPoint:
         assert np.array_equal(geom.x0, fix_b.z0[:1])
         assert geom.a_z == math.sqrt(10**6 - float(fix_b.z0 @ fix_b.z0))
 
+    def test_validated_arrays_are_read_only(self, fix_b):
+        # z0_cyl, z0_norm_sq and the slices build_slice keeps are computed
+        # from z0 and chol once: a write into either raises instead of
+        # leaving them stale
+        for arr in (fix_b.z0, fix_b.chol, fix_b.z0_cyl):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fix_b.z0[0] = 1.0
+        assert fix_b.z0_norm_sq == float(fix_b.z0 @ fix_b.z0)
+
     def test_truncation_to_one_column(self, fix_b):
         # oracle: scalar least squares on Q_1 = [3]
         z1 = least_norm_center(fix_b.problem, 1)

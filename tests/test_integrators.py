@@ -1,7 +1,9 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import dataclasses
 import numpy as np
@@ -30,9 +32,11 @@ from slicemean import (
     slice_mean_quadrature,
     validate,
 )
+from slicemean import integrators
 from slicemean.affine_model import truncated_matrix
-from slicemean.integrators import _gaussian_mc, _ordered_map, _quad_pass, _shard_rng, _shift_rows
+from slicemean.integrators import _STEP_FLOATS, _gaussian_mc, _ordered_map, _quad_pass, _shard_rng, _shift_rows
 from slicemean.rules import beta_radial_rule
+from slicemean.slice_geometry import _SLICES
 
 
 def _full_basis_mc(validated, geom, phi, n_samples, seed):
@@ -392,6 +396,140 @@ class TestQuadrature:
             QuadConfig(target_rel_err=0.5)
 
 
+def _bits(res):
+    return (res.value, res.err_estimate, res.converged, res.n_evals)
+
+
+class TestNodeMemo:
+    """Each geometry keeps its quadrature steps' placed nodes, read-only,
+    within _STEP_FLOATS floats."""
+
+    @pytest.mark.parametrize("k, m, s", [(1, 1, 20), (2, 2, 12), (3, 2, 14)])
+    def test_warm_results_keep_the_cold_bits(self, k, m, s):
+        # every request on a shared slice, run twice, against the same
+        # request on a slice of its own: analytic and kinked, below and
+        # above the support width
+        rng = np.random.default_rng(700 + k)
+        while True:
+            problem = AffineProblem(
+                q=rng.standard_normal((m, s)), w0=0.3 * rng.standard_normal(m), k=k)
+            shared = validate(problem)
+            if shared.n_min < s - 2:
+                break
+        fns = [CosLinear(t=rng.standard_normal(k)), SinLinear(t=2.0 * rng.standard_normal(k)),
+               Monomial(alpha=(2,) + (1,) * (k - 1)),
+               IndicatorBall(center=0.3 * rng.standard_normal(k), radius=1.0),
+               BoundedCutoff(inner=CosLinear(t=1.5 * rng.standard_normal(k)), cap=0.5)]
+        for n in (shared.n_min + 1, s - 1, 4 * s):
+            for target in (1e-9, 1e-11):
+                cfg = QuadConfig(target_rel_err=target)
+                cold = [_bits(slice_mean_quadrature(build_slice(validate(problem), n), fn, cfg))
+                        for fn in fns]
+                for _ in range(2):
+                    geom = build_slice(shared, n)
+                    assert [_bits(slice_mean_quadrature(geom, fn, cfg)) for fn in fns] == cold
+            assert geom._steps
+
+    def test_a_repeated_step_places_no_nodes(self, monkeypatch):
+        # the k = 3 cosine of test_refinement_reuses_fine_pass: four steps,
+        # 24,504 floats of nodes, all kept; a second request evaluates the
+        # same read-only arrays and places nothing
+        validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
+        geom = build_slice(validated, 64)
+        seen = []
+
+        class Seen(CosLinear):
+            def eval(self, x):
+                seen.append(x)
+                return super().eval(x)
+
+        placed = []
+        place = integrators._place
+        monkeypatch.setattr(integrators, "_place", lambda *args: placed.append(1) or place(*args))
+        cfg = QuadConfig(target_rel_err=1e-11)
+        first = slice_mean_quadrature(geom, Seen(t=[0.8, -0.5, 0.3]), cfg)
+        steps, seen[:] = list(seen), []
+        assert len(placed) == 5  # the first step's two blocks, then one a step
+        assert sum(x.size for x in steps) == 24_504
+        assert not any(x.flags.writeable for x in steps)
+        placed.clear()
+        again = slice_mean_quadrature(geom, Seen(t=[0.8, -0.5, 0.3]), cfg)
+        assert placed == [] and _bits(again) == _bits(first)
+        assert len(seen) == 4 and all(a is b for a, b in zip(seen, steps))
+
+    def test_replaced_geometry_places_its_own_nodes(self, fix_c):
+        # a rotated factor moves every node off its source's: a memo keyed by
+        # value would hand the rotated slice its source's nodes
+        fresh = validate(fix_c.problem)
+        geom = build_slice(fresh, 128)
+        fn = CosLinear(t=[0.8, -0.5])
+        slice_mean_quadrature(geom, fn)
+        c, s = math.cos(0.7), math.sin(0.7)
+        rot = dataclasses.replace(geom, chol=geom.chol @ np.array([[c, -s], [s, c]]))
+        assert rot._steps == {}
+        res = slice_mean_quadrature(rot, fn)
+        cold = dataclasses.replace(build_slice(validate(fix_c.problem), 128), chol=rot.chol)
+        assert _bits(res) == _bits(slice_mean_quadrature(cold, fn))
+        assert rot._steps.keys() <= geom._steps.keys() and rot._steps
+        for key, (x, *_) in rot._steps.items():
+            assert not np.array_equal(x, geom._steps[key][0])
+            assert np.array_equal(x, cold._steps[key][0])
+
+    def test_threads_sharing_a_slice_keep_the_bits(self):
+        # eight threads run requests on one kept slice at once: each result is
+        # the one its request gives alone, and the node sets stay in budget
+        problem = AffineProblem(q=[[1.0, 2.0, 0.5, -1.0, 0.3]], w0=[1.5], k=3)
+        fns = [CosLinear(t=[0.7, -0.4, 0.9]), Monomial(alpha=(2, 0, 1)),
+               IndicatorBall(center=[0.2, -0.1, 0.3], radius=1.2), SinLinear(t=[0.3, 0.5, -0.6])]
+        alone = [_bits(slice_mean_quadrature(build_slice(validate(problem), 64), fn))
+                 for fn in fns]
+        shared = validate(problem)
+        barrier = threading.Barrier(8)
+
+        def run(i):
+            barrier.wait()
+            return [_bits(slice_mean_quadrature(build_slice(shared, 64), fns[(i + j) % 4]))
+                    for j in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(run, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, results in enumerate(got):
+            assert results == [alone[(i + j) % 4] for j in range(4)]
+        steps = build_slice(shared, 64)._steps
+        assert 0 < sum(x.size for x, *_ in steps.values()) <= _STEP_FLOATS
+
+    def test_memory_held_stays_within_the_budget(self):
+        # kinked k = 3 requests at 64 N on one problem: at this target most
+        # refine past their slice's node budget, and only the last _SLICES
+        # slices are kept. The memory held is what dropping the problem
+        # frees, so the rules built on the way are not counted
+        fn = BoundedCutoff(inner=CosLinear(t=[1.0, -0.7, 0.4]), cap=0.5)
+        cfg = QuadConfig(target_rel_err=1e-4)
+        ns = range(16, 80)
+        tracemalloc.start()
+        try:
+            validated = validate(AffineProblem(q=[[0.0, 0.0, 0.0, 1.0]], w0=[1.0], k=3))
+            evals = [slice_mean_quadrature(build_slice(validated, n), fn, cfg).n_evals
+                     for n in ns]
+            before = tracemalloc.get_traced_memory()[0]
+            assert list(validated._slices) == list(ns[-_SLICES:])
+            kept = [sum(x.size for x, *_ in g._steps.values())
+                    for g in validated._slices.values()]
+            del validated
+            held = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # kept whole, the placed nodes would be many times the bound
+        assert 3 * sum(evals) > 4 * _SLICES * _STEP_FLOATS
+        assert all(_STEP_FLOATS // 2 < floats <= _STEP_FLOATS for floats in kept)
+        assert 8 * sum(kept) <= held <= _SLICES * _STEP_FLOATS * 8 + (256 << 10)
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"n_samples": 1000.9}, {"n_samples": "1000"}, {"n_samples": True},
@@ -491,6 +629,24 @@ class TestMonteCarlo:
         assert time.perf_counter() - start < 1.0
         assert abs(quad.value - known_limit(fn, fix_b)) < 1e-5
         assert abs(mc.value - quad.value) <= 5.0 * mc.err_estimate
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("route", ["slice", "gaussian"])
+    def test_one_nonfinite_sample_raises_without_a_warning(self, fix_b, route, bad):
+        # the last value of the last chunk; the suite turns warnings into errors
+        class Bad(Monomial):
+            def eval(self, x):
+                vals = super().eval(x)
+                if vals.size == 1000:
+                    vals[-1] = bad
+                return vals
+
+        cfg = McConfig(n_samples=3000, seed=4, shard_size=1000)
+        with pytest.raises(NonFinite, match="^integrand returned a non-finite value at a sample$"):
+            if route == "slice":
+                slice_mean_mc(build_slice(fix_b, 64), Bad(alpha=(1,)), cfg)
+            else:
+                gaussian_limit(fix_b, Bad(alpha=(1,)), cfg)
 
     def test_high_k_supported(self):
         validated = validate(AffineProblem(q=[[0.0] * 5 + [1.0]], w0=[0.5], k=5))
@@ -596,6 +752,20 @@ class TestGaussianLimit:
         assert res.n_evals == 64 + 32
         # E[X^4] for X ~ N(0.6, 0.64): mu^4 + 6 mu^2 s^2 + 3 s^4
         assert_allclose(res.value, 0.6**4 + 6 * 0.36 * 0.64 + 3 * 0.64**2, rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gauss_hermite_nonfinite_raises_without_a_warning(self, fix_c, bad):
+        # one node of the 64 x 64 grid, then of the 32 x 32 one
+        for grid in (64 * 64, 32 * 32):
+            class Bad(Monomial):
+                def eval(self, x):
+                    vals = super().eval(x)
+                    if vals.size == grid:
+                        vals[grid // 3] = bad
+                    return vals
+
+            with pytest.raises(NonFinite, match="^integrand returned a non-finite value$"):
+                gaussian_limit(fix_c, Bad(alpha=(1, 1)))
 
     def test_mc_shard_drawn_whole_when_it_fits(self, fix_b):
         # a shard within one chunk is one draw of shard_size normals,

@@ -1,12 +1,19 @@
+import gc
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from slicemean import (
+    AffineProblem,
     BelowMinN,
     CosLinear,
+    Infeasible,
     Monomial,
     ProjectionNotOnto,
     QuadConfig,
@@ -16,9 +23,11 @@ from slicemean import (
     gaussian_limit,
     known_limit,
     slice_mean_quadrature,
+    validate,
     weight,
 )
 from slicemean import numlin
+from slicemean.slice_geometry import _SLICES
 
 
 class TestBuildSlice:
@@ -78,7 +87,10 @@ class TestBuildSlice:
 
     def test_one_factorization_per_truncation(self, monkeypatch, rank_dip):
         # below the support width (7) one StackedQR gives every per-N
-        # quantity; from the width on, and for the limit, validate's is reused
+        # quantity, and a repeat build takes none; from the width on, and for
+        # the limit, validate's is reused. The problem is validated afresh:
+        # the session fixture keeps the slices earlier tests built
+        fresh = validate(rank_dip.problem)
         counts = []
 
         class Counting(numlin.StackedQR):
@@ -94,12 +106,15 @@ class TestBuildSlice:
             return counts[-1], result
 
         fn = CosLinear(t=[1.0])
-        assert taken(lambda: build_slice(rank_dip, 5))[0] == 1
-        count, geom = taken(lambda: build_slice(rank_dip, 8))
-        assert count == 0 and geom.chol is rank_dip.chol
-        assert not rank_dip.chol.flags.writeable
-        assert taken(lambda: known_limit(fn, rank_dip))[0] == 0
-        assert taken(lambda: gaussian_limit(rank_dip, fn))[0] == 0
+        count, first = taken(lambda: build_slice(fresh, 5))
+        assert count == 1
+        count, repeat = taken(lambda: build_slice(fresh, 5))
+        assert count == 0 and repeat is first
+        count, geom = taken(lambda: build_slice(fresh, 8))
+        assert count == 0 and geom.chol is fresh.chol
+        assert not fresh.chol.flags.writeable
+        assert taken(lambda: known_limit(fn, fresh))[0] == 0
+        assert taken(lambda: gaussian_limit(fresh, fn))[0] == 0
 
     def test_exponent(self, fix_b):
         geom = build_slice(fix_b, 100)
@@ -109,6 +124,103 @@ class TestBuildSlice:
         geom = build_slice(fix_b, 64)
         assert_allclose(geom.x0, [0.6], atol=1e-14)
         assert_allclose(geom.a_z, math.sqrt(64.0 - 1.0), rtol=1e-14)
+
+
+def _on_eight_threads(fn):
+    """[fn(0), ..., fn(7)] run on 8 threads at once, switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(fn, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestSliceMemo:
+    """build_slice keeps each problem's last _SLICES geometries, by N."""
+
+    def test_repeat_returns_the_kept_read_only_geometry(self, rank_dip):
+        fresh = validate(rank_dip.problem)
+        for n in (5, 7, 8):  # below, at and above the support width 7
+            geom = build_slice(fresh, n)
+            assert build_slice(fresh, n) is geom
+            assert build_slice(fresh, float(n)) is geom
+            assert not geom.x0.flags.writeable and not geom.chol.flags.writeable
+        assert list(fresh._slices) == [5, 7, 8]
+
+    def test_oldest_slice_dropped_beyond_the_cap(self, fix_b):
+        fresh = validate(fix_b.problem)
+        first = build_slice(fresh, 10)
+        for n in range(11, 10 + _SLICES):
+            build_slice(fresh, n)
+        assert build_slice(fresh, 10) is first
+        build_slice(fresh, 10 + _SLICES)
+        assert len(fresh._slices) == _SLICES and 10 not in fresh._slices
+        rebuilt = build_slice(fresh, 10)
+        assert rebuilt is not first and rebuilt.a_z == first.a_z
+        assert 11 not in fresh._slices
+
+    def test_refusals_are_not_kept(self, rank_dip, late_support):
+        # each repeat raises again, the same error with the same message
+        fresh = validate(rank_dip.problem)
+        late = validate(late_support.problem)
+        for validated, n, error in ((fresh, 6, RankDeficient), (fresh, 3, BelowMinN),
+                                    (late, 9, RankDeficient), (fresh, 2**53 + 1, Infeasible)):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(error) as info:
+                    build_slice(validated, n)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        assert fresh._slices == {} and late._slices == {}
+
+    def test_threads_share_one_geometry_per_n(self):
+        # eight threads build the same 16 N at once on one problem, most
+        # below its support width of 60, where each build takes a QR
+        rng = np.random.default_rng(31)
+        problem = AffineProblem(q=rng.standard_normal((2, 60)), w0=[0.3, -0.2], k=2)
+        fresh = validate(problem)
+        ns = list(range(fresh.n_min, fresh.n_min + _SLICES))
+        barrier = threading.Barrier(8)
+
+        def build(offset):
+            barrier.wait()
+            return {n: build_slice(fresh, n) for n in ns[offset:] + ns[:offset]}
+
+        built = _on_eight_threads(build)
+        for n in ns:
+            assert all(b[n] is fresh._slices[n] for b in built)
+        assert len(fresh._slices) == _SLICES
+
+    def test_threads_past_the_cap_raise_nothing(self):
+        # eviction races insertion: every build still returns its own N's
+        # slice, and the memo stays at its cap
+        problem = AffineProblem(q=[[0.0, 1.0]], w0=[0.5], k=1)
+        fresh = validate(problem)
+        barrier = threading.Barrier(8)
+
+        def build(offset):
+            barrier.wait()
+            return [build_slice(fresh, n).n == n for n in range(4 + offset, 4 + offset + 200, 3)]
+
+        assert all(all(ok) for ok in _on_eight_threads(build))
+        assert len(fresh._slices) == _SLICES
+
+    def test_kept_slices_are_freed_with_their_problem(self):
+        # a geometry holds no reference back to its problem, so the memo
+        # makes no cycle: dropping the problem frees everything by
+        # reference count, with the cycle collector off
+        fresh = validate(AffineProblem(q=[[0.0, 1.0, 0.5]], w0=[0.5], k=2))
+        for n in (5, 6, 64):
+            slice_mean_quadrature(build_slice(fresh, n), CosLinear(t=[0.4, 0.7]))
+        refs = [weakref.ref(fresh)] + [weakref.ref(g) for g in fresh._slices.values()]
+        gc.disable()
+        try:
+            del fresh
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestWeight:

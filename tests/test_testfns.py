@@ -16,7 +16,7 @@ from slicemean import (
     kernel_projection_norm_sq,
     known_limit,
 )
-from slicemean.testfns import LP_ONE, from_config
+from slicemean.testfns import _REGISTRY, LP_ONE, from_config
 
 
 class TestEval:
@@ -74,6 +74,32 @@ class TestEval:
     def test_cutoff_clamps(self):
         fn = BoundedCutoff(inner=Monomial(alpha=(2,)), cap=4.0)
         assert_allclose(fn.eval(np.array([[1.0], [10.0]])), [1.0, 4.0])
+
+
+def _registry_functions():
+    """One instance of every registry kind, with the k it acts on."""
+    return [
+        (CosLinear(t=[0.8, -0.5, 0.3]), 3),
+        (SinLinear(t=[1.2, 0.4]), 2),
+        (Monomial(alpha=(1,)), 1),
+        (Monomial(alpha=(2, 1, 0)), 3),
+        (IndicatorBall(center=[0.2, -0.1, 0.3], radius=1.0), 3),
+        (BoundedCutoff(inner=Monomial(alpha=(1, 2)), cap=0.5), 2),
+        (CounterexampleG(), 1),
+    ]
+
+
+@pytest.mark.parametrize("fn, k", _registry_functions(), ids=lambda v: getattr(v, "kind", str(v)))
+def test_every_function_evaluates_read_only_nodes(fn, k):
+    # quadrature hands every function the read-only node sets its slice
+    # keeps: an eval that wrote into its input would raise, and the values
+    # are those of a writable copy
+    assert {type(f) for f, _ in _registry_functions()} >= set(_REGISTRY.values())
+    x = np.random.default_rng(k).standard_normal((5, 7, k))
+    x.flags.writeable = False
+    got = fn.eval(x)
+    assert np.array_equal(got, fn.eval(x.copy()))
+    assert got.shape == (5, 7)
 
 
 class TestMetadata:
