@@ -34,7 +34,8 @@ from slicemean import (
 )
 from slicemean import integrators
 from slicemean.affine_model import truncated_matrix
-from slicemean.integrators import _STEP_FLOATS, _gaussian_mc, _ordered_map, _quad_pass, _shard_rng, _shift_rows
+from slicemean.integrators import (
+    _STEP_FLOATS, _SUM_FIRST_MAX, _gaussian_mc, _ordered_map, _quad_pass, _shard_rng, _shift_rows)
 from slicemean.rules import beta_radial_rule
 from slicemean.slice_geometry import _SLICES
 
@@ -369,6 +370,21 @@ class TestQuadrature:
                                             "the slice$"):
             _quad_pass(geom, Bad(alpha=(1,)), 512, 64)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_of_a_large_step_raises(self, fix_c, bad):
+        # 64 radial nodes on 256 circle points: more values than
+        # _SUM_FIRST_MAX, so they are tested entry by entry
+        class Bad(Monomial):
+            def eval(self, x):
+                vals = super().eval(x)
+                vals[-1, -1] = bad
+                return vals
+
+        assert 64 * 256 > _SUM_FIRST_MAX
+        with pytest.raises(NonFinite, match="^integrand returned a non-finite value inside "
+                                            "the slice$"):
+            _quad_pass(build_slice(fix_c, 64), Bad(alpha=(1, 0)), 64, 256)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_finite_values_whose_sum_overflows_do_not_raise(self, k):
         # nor warn: the suite turns warnings into errors
@@ -632,16 +648,19 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("route", ["slice", "gaussian"])
-    def test_one_nonfinite_sample_raises_without_a_warning(self, fix_b, route, bad):
-        # the last value of the last chunk; the suite turns warnings into errors
+    @pytest.mark.parametrize("shard", [1000, _SUM_FIRST_MAX + 1])
+    def test_one_nonfinite_sample_raises_without_a_warning(self, fix_b, shard, route, bad):
+        # the last value of the last shard, tested by its sum of squares first
+        # or, above _SUM_FIRST_MAX values, entry by entry; the suite turns
+        # warnings into errors
         class Bad(Monomial):
             def eval(self, x):
                 vals = super().eval(x)
-                if vals.size == 1000:
+                if vals.size == shard:
                     vals[-1] = bad
                 return vals
 
-        cfg = McConfig(n_samples=3000, seed=4, shard_size=1000)
+        cfg = McConfig(n_samples=3 * shard, seed=4, shard_size=shard)
         with pytest.raises(NonFinite, match="^integrand returned a non-finite value at a sample$"):
             if route == "slice":
                 slice_mean_mc(build_slice(fix_b, 64), Bad(alpha=(1,)), cfg)
