@@ -15,7 +15,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -119,9 +118,9 @@ class ValidatedProblem:
     with positive diagonal, of the Gram matrix G at the width: the covariance
     of the limiting Gaussian, and the per-N factor for every N >= width.
     ``rank_margin`` is the stacked sigma_(m+k) / sigma_1 at min(n_min, width).
-    ``z0`` and ``chol`` are read-only: the cached ``z0_cyl`` and
-    ``z0_norm_sq`` and the slices ``build_slice`` keeps in the private
-    ``_slices`` (by N) are computed from them once.
+    ``z0`` and ``chol`` are read-only: ``z0_cyl`` is a read-only view of
+    ``z0``, and the slices ``build_slice`` keeps in the private ``_slices``
+    (by N) are computed from them once.
     """
 
     problem: AffineProblem
@@ -143,15 +142,13 @@ class ValidatedProblem:
     def m(self) -> int:
         return self.problem.m
 
-    @cached_property
+    @property
     def z0_cyl(self) -> np.ndarray:
-        """First k coordinates of z0, a read-only copy: the mean of the
+        """First k coordinates of z0, a read-only view: the mean of the
         limiting Gaussian, and the slice center's at every N >= width."""
-        x0 = self.z0[: self.k].copy()
-        x0.flags.writeable = False
-        return x0
+        return self.z0[: self.k]
 
-    @cached_property
+    @property
     def z0_norm_sq(self) -> float:
         """|z0|^2, the slice center's squared norm at every N >= width."""
         return float(self.z0 @ self.z0)

@@ -31,7 +31,7 @@ from numpy.random import Generator, Philox
 from .affine_model import ValidatedProblem, _is_count, _is_int
 from .errors import InadmissibleFunction, NonFinite, UnsupportedDimension
 from .numlin import _matmul
-from .rules import gauss_hermite_prob, sphere_directions, step_radii
+from .rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
 from .slice_geometry import SliceGeometry
 from .testfns import TestFunction
 
@@ -39,7 +39,8 @@ from .testfns import TestFunction
 #: chunking depends on fixed quantities, never on thread count).
 _CHUNK_ELEMS = 1 << 22
 
-#: Rows of the block a chunk of sample points is shifted by (``_shift_rows``).
+#: Rows of the block sample points and quadrature nodes are shifted by
+#: (``_shift_rows``).
 _SHIFT_ROWS = 256
 
 #: Node counts of the first fine quadrature pass: radial nodes, and circle
@@ -126,19 +127,15 @@ def _require_lp(phi: TestFunction):
 
 def _place(geom: SliceGeometry, r, dirs, out):
     """Write the nodes x0 + r_i C d_j for the radii r and directions d into
-    ``out``, an (r.size, directions, k) array, and return it. The nodes are
-    built in place: the node set is several MB at refined counts, and each
-    extra temporary of that size is a fresh mmap with its page faults."""
+    ``out``, a C-contiguous (r.size, directions, k) array, and return it.
+    The nodes are built in place: the node set is several MB at refined
+    counts, and each extra temporary of that size is a fresh mmap with its
+    page faults. The shift by x0 goes through ``_shift_rows`` on the (points,
+    k) view of ``out``, in place: a plain add of x0 doubles the cost of a
+    step above _STEP_FLOATS, which is placed again on every request."""
     offsets = dirs @ geom.chol.T
     np.multiply(r[:, None, None], offsets, out=out)
-    if geom.k == 1:
-        out += geom.x0
-    else:
-        # numpy adds a k-entry shift to every node in an inner loop of k;
-        # shifting by a (direction, k) block runs one loop per radius
-        shift = np.empty_like(offsets)
-        shift[...] = geom.x0
-        out += shift
+    _shift_rows(out.reshape(-1, geom.k), geom.x0)
     return out
 
 
@@ -160,13 +157,15 @@ def _step_nodes(geom: SliceGeometry, radial_counts, angular, angular_check):
     evaluates a k = 3 angular check. ``x`` is read-only and kept in the
     geometry's ``_steps``, by (radial_counts, angular, angular_check), while
     the steps kept there total at most _STEP_FLOATS floats; nodes are placed
-    only for a step not kept."""
+    only for a step not kept. The radii are a_z sqrt(u), u the nodes of the
+    ``beta_radial_rule`` of each count concatenated in order, and ``lams``
+    the tuple of those rules' weights."""
     key = (radial_counts, angular, angular_check)
     step = geom._steps.get(key)
     if step is not None:
         return step
-    root_u, lams = step_radii(geom.k, geom.exponent, radial_counts)
-    r = geom.a_z * root_u
+    nodes, lams = zip(*(beta_radial_rule(geom.k, geom.exponent, n) for n in radial_counts))
+    r = geom.a_z * np.sqrt(nodes[0] if len(nodes) == 1 else np.concatenate(nodes))
     dirs, omega = sphere_directions(geom.k, angular)
     shape = (r.size, omega.size, geom.k)
     check_omega = None
@@ -258,9 +257,10 @@ def slice_mean_quadrature(
     point; at k = 3 (whose Gauss-Legendre sets are not nested) its nodes
     are evaluated in the same call. n_evals counts the evaluations made, so
     a k = 2 result counts no angular check. A step's radii come from the
-    ``rules.step_radii`` memo, and its nodes are placed once per geometry
-    (``_step_nodes``), so a request on a shared slice places only the
-    steps no earlier request kept there.
+    memoized ``rules.beta_radial_rule``, and its nodes are placed once per
+    geometry while they fit the geometry's budget (``_step_nodes``), so a
+    request on a shared slice places only the steps no earlier request kept
+    there.
     """
     _require_fit(phi, geom.k)
     if geom.k > 3:

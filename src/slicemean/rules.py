@@ -48,20 +48,12 @@ The public names stay plain functions that call their builder. Two threads
 that miss on one key (sweep rows run on a thread pool) both build the
 same value, bit for bit, so whichever insert lands last is harmless.
 
-A quadrature step takes the radii of one or two radial rules at once.
-``step_radii`` keeps, per (k, exponent, node counts), the square roots of
-their nodes concatenated in order, with the rules' weights, in a third
-memo: a step makes one lookup, and its radii are one multiply by the slice
-radius, the same operation on the same bytes as the square root of the
-concatenated nodes would be.
-
 Each memo has a fixed cap, with the least recently used entry dropped
-first. At the node counts the library asks for (4 to 512 radial nodes,
-at most 8 KB a rule; at most 256 directions, 8 KB a set; at most 512
-radii, 4 KB a step, whose weights are the radial memo's arrays) full
-caches hold at most about 6.5 MB. The Gauss-Hermite rule is built on each
-call: the Gaussian limit asks for two per evaluation, so a memo would
-rarely be hit.
+first. At the node counts the library asks for, full caches hold at most
+about 4.5 MB: 512 radial rules of at most 8 KB each (4 to 512 nodes) and
+64 direction sets of at most 8 KB each (at most 256 directions). The
+Gauss-Hermite rule is built on each call: the Gaussian limit asks for two
+per evaluation, so a memo would rarely be hit.
 """
 
 from __future__ import annotations
@@ -79,11 +71,8 @@ _RESCALE_BITS = 448.0
 #: to 512 nodes) per (k, N); a smooth request mostly takes two (4 and 8), a
 #: kinked one starts on two more (16 and 32). So the radial cap holds 64 to
 #: 256 slices' rules; the direction sets the library asks for number 9.
-#: A slice's steps take at most eight radii keys too (the first step's two
-#: counts, then one per refined count), so that memo has the radial cap.
 _RADIAL_RULES = 512
 _DIRECTION_SETS = 64
-_STEP_RADII = _RADIAL_RULES
 
 
 def _read_only(*arrays):
@@ -218,25 +207,6 @@ def _christoffel_weights(u, diag, off):
     total += block
     w = np.ldexp(1.0 / total, -2 * shifts)
     return w / w.sum()
-
-
-def step_radii(k: int, exponent: float, counts: tuple):
-    """The unit-slice radii of one quadrature step and its rules' weights.
-
-    For the Beta(k/2, exponent+1) rules with each node count in ``counts``
-    (a tuple, in order), returns sqrt(u) of their nodes concatenated, and
-    the tuple of their weights (the arrays of ``beta_radial_rule``). The
-    arrays are shared and read-only.
-    """
-    return _step_radii(k, exponent, counts)
-
-
-@lru_cache(maxsize=_STEP_RADII)
-def _step_radii(k, exponent, counts):
-    rules = [beta_radial_rule(k, exponent, n) for n in counts]
-    u = rules[0][0] if len(rules) == 1 else np.concatenate([u for u, _ in rules])
-    (root,) = _read_only(np.sqrt(u))
-    return root, tuple(w for _, w in rules)
 
 
 def sphere_directions(k: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -50,7 +50,7 @@ class SliceGeometry:
 
     A geometry is shared: ``build_slice`` returns the same object for a
     repeated (problem, N). Quadrature keeps the placed nodes of its steps in
-    the private ``_steps`` (see ``integrators._quad_step``), so a geometry
+    the private ``_steps`` (see ``integrators._step_nodes``), so a geometry
     made by ``dataclasses.replace`` starts with none of its source's nodes.
     """
 

@@ -228,11 +228,13 @@ class TestClosestPoint:
         assert geom.a_z == math.sqrt(10**6 - float(fix_b.z0 @ fix_b.z0))
 
     def test_validated_arrays_are_read_only(self, fix_b):
-        # z0_cyl, z0_norm_sq and the slices build_slice keeps are computed
-        # from z0 and chol once: a write into either raises instead of
-        # leaving them stale
+        # the slices build_slice keeps are computed from z0 and chol once: a
+        # write into either raises instead of leaving them stale; z0_cyl is a
+        # view of z0, which cannot be made writeable
         for arr in (fix_b.z0, fix_b.chol, fix_b.z0_cyl):
             assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            fix_b.z0_cyl.flags.writeable = True
         with pytest.raises(ValueError, match="read-only"):
             fix_b.z0[0] = 1.0
         assert fix_b.z0_norm_sq == float(fix_b.z0 @ fix_b.z0)

@@ -24,7 +24,7 @@ from slicemean import (
 )
 from slicemean.rules import beta_radial_rule, gauss_hermite_prob, sphere_directions
 
-MEMOS = (rules._beta_radial_rule, rules._sphere_directions, rules._step_radii)
+MEMOS = (rules._beta_radial_rule, rules._sphere_directions)
 
 
 def beta_moment(k, exponent, p):
@@ -275,26 +275,6 @@ class TestMemo:
         info = rules._beta_radial_rule.cache_info()
         assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
-    @pytest.mark.parametrize("counts", [(8,), (8, 4), (32, 16), (512,)])
-    def test_step_radii_are_the_rules_read_only_roots(self, counts):
-        root, weights = rules.step_radii(2, 333.25, counts)
-        built = [beta_radial_rule(2, 333.25, n) for n in counts]
-        assert root.tobytes() == np.sqrt(np.concatenate([u for u, _ in built])).tobytes()
-        assert all(w is b for w, (_, b) in zip(weights, built, strict=True))
-        assert rules.step_radii(2, 333.25, counts)[0] is root
-        for a in (root, *weights):
-            with pytest.raises(ValueError):
-                a[0] = 0.5
-
-    def test_step_radii_stay_within_cap(self):
-        try:
-            for i in range(2 * rules._STEP_RADII):
-                rules.step_radii(1, 0.5 + i, (2, 1))
-            assert rules._step_radii.cache_info().currsize == rules._STEP_RADII
-        finally:
-            rules._step_radii.cache_clear()
-            rules._beta_radial_rule.cache_clear()
-
     def test_distinct_exponents_stay_within_cap(self):
         try:
             for i in range(10_000):
@@ -302,6 +282,14 @@ class TestMemo:
             assert rules._beta_radial_rule.cache_info().currsize <= rules._RADIAL_RULES
         finally:
             rules._beta_radial_rule.cache_clear()
+
+    def test_distinct_budgets_stay_within_cap(self):
+        try:
+            for budget in range(1, 2 * rules._DIRECTION_SETS + 1):
+                sphere_directions(2, budget)
+            assert rules._sphere_directions.cache_info().currsize == rules._DIRECTION_SETS
+        finally:
+            rules._sphere_directions.cache_clear()
 
     @pytest.mark.parametrize(
         "q, w0, t",
@@ -313,12 +301,14 @@ class TestMemo:
         ids=["k1", "k2", "k3"],
     )
     def test_quadrature_bit_identical_after_clear(self, q, w0, t):
-        validated = validate(AffineProblem(q=q, w0=w0, k=len(t)))
-        geom, fn, cfg = build_slice(validated, 64), CosLinear(t=t), QuadConfig(1e-11)
-        warm = slice_mean_quadrature(geom, fn, cfg)
+        # the cold request runs on a slice of a freshly validated problem,
+        # whose geometry keeps no nodes, so it must rebuild its rules
+        problem, fn, cfg = AffineProblem(q=q, w0=w0, k=len(t)), CosLinear(t=t), QuadConfig(1e-11)
+        warm = slice_mean_quadrature(build_slice(validate(problem), 64), fn, cfg)
         for memo in MEMOS:
             memo.cache_clear()
-        cold = slice_mean_quadrature(geom, fn, cfg)
+        cold = slice_mean_quadrature(build_slice(validate(problem), 64), fn, cfg)
+        assert rules._beta_radial_rule.cache_info().misses > 0
         assert (cold.value, cold.err_estimate) == (warm.value, warm.err_estimate)
 
     def test_racing_threads_get_equal_arrays(self):
@@ -368,7 +358,7 @@ class TestMemo:
 
     @pytest.mark.parametrize(
         "name",
-        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob", "step_radii"],
+        ["beta_radial_rule", "sphere_directions", "gauss_hermite_prob"],
     )
     def test_public_names_stay_plain_functions(self, name):
         # the benchmark's tracer wraps only plain functions; a cache object
